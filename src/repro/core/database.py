@@ -52,7 +52,7 @@ from ..planner.rewrite import find_relational_aggregates
 from ..planner.select_planner import PlannedQuery, SelectPlanner
 from ..sql import ast, parse_script, parse_statement
 from ..storage.catalog import Catalog
-from ..storage.index import HashIndex, OrderedIndex
+from ..storage.index import HashIndex, Index, OrderedIndex
 from ..storage.schema import Column, TableSchema
 from ..storage.table import Table
 from ..txn.transactions import TransactionManager, UndoListener
@@ -375,7 +375,9 @@ class Database:
         analyze: bool = False,
         budget: Optional[QueryBudget] = None,
     ) -> str:
-        """The physical plan of a SELECT, one operator per line.
+        """The physical plan of a SELECT — or the access plan of an
+        UPDATE / DELETE under a ``Update(table)`` / ``Delete(table)``
+        line — one operator per line.
 
         With ``analyze=True`` (or an ``EXPLAIN ANALYZE ...`` statement)
         the query is actually executed under a
@@ -399,10 +401,19 @@ class Database:
         analyze: bool,
         budget: Optional[QueryBudget] = None,
     ) -> str:
+        kind = type(statement).__name__
+        if isinstance(statement, (ast.Update, ast.Delete)) and not analyze:
+            table = self._resolve_writable_table(statement.table)
+            plan = self._make_planner().plan_dml_targets(table, statement.where)
+            return f"{kind}({table.name})\n{plan.explain(1)}"
         if not isinstance(statement, ast.Select):
+            what, plannable = (
+                ("EXPLAIN ANALYZE", "SELECT")
+                if analyze
+                else ("EXPLAIN", "SELECT, UPDATE and DELETE")
+            )
             raise PlanningError(
-                "EXPLAIN is only supported for SELECT "
-                f"(got {type(statement).__name__})"
+                f"{what} is only supported for {plannable} (got {kind})"
             )
         planned = self._plan_select(statement)
         if not analyze:
@@ -711,21 +722,26 @@ class Database:
 
     def _execute_create_index(self, statement: ast.CreateIndex) -> ResultSet:
         table = self._resolve_writable_table(statement.table)
-        index = HashIndex(
-            statement.name, table.schema, statement.columns, statement.unique
+        self._attach_index(
+            table,
+            HashIndex(
+                statement.name, table.schema, statement.columns, statement.unique
+            ),
         )
-        table.attach_index(index)
-        self.catalog.register_index(statement.name, statement.table)
         return ResultSet()
+
+    def _attach_index(self, table: Table, index: Index) -> None:
+        if self.catalog.index_owner(index.name) is not None:
+            raise CatalogError(f"duplicate index name: {index.name}")
+        table.attach_index(index)
+        self.catalog.register_index(index.name, table.name)
 
     def create_ordered_index(
         self, name: str, table_name: str, columns: Sequence[str], unique=False
     ) -> None:
         """Programmatic API for a range-capable (ordered) index."""
         table = self._resolve_writable_table(table_name)
-        index = OrderedIndex(name, table.schema, columns, unique)
-        table.attach_index(index)
-        self.catalog.register_index(name, table_name)
+        self._attach_index(table, OrderedIndex(name, table.schema, columns, unique))
 
     def _execute_create_view(self, statement: ast.CreateView) -> ResultSet:
         query = statement.query
@@ -1006,27 +1022,14 @@ class Database:
         return ResultSet(rowcount=count)
 
     def _dml_targets(
-        self, table: Table, alias: str, where: Optional[ast.Expression]
+        self, table: Table, where: Optional[ast.Expression]
     ) -> List[int]:
-        """Slots of the rows a WHERE clause selects (all when absent)."""
-        token = budget_module.current_token()
-        if where is None:
-            slots = []
-            for slot, _row in table.scan():
-                if token is not None:
-                    token.tick()
-                slots.append(slot)
-            return slots
-        where = self._materialize_subqueries(where)
-        scope = Scope([RelationBinding(alias, 0, table.schema)])
-        predicate = ExpressionCompiler(scope).compile(where)
-        slots = []
-        for slot, row in table.scan():
-            if token is not None:
-                token.tick()
-            if predicate.fn([row]) is True:
-                slots.append(slot)
-        return slots
+        """Slots of the rows a WHERE clause selects (all when absent),
+        collected in full before the caller mutates anything: a row an
+        UPDATE moves along the index it was found through is not met
+        again."""
+        plan = self._make_planner().plan_dml_targets(table, where)
+        return [row[1] for row in plan]
 
     def _execute_update(self, statement: ast.Update) -> ResultSet:
         table = self._resolve_writable_table(statement.table)
@@ -1040,7 +1043,7 @@ class Database:
             )
             for column, e in statement.assignments
         ]
-        slots = self._dml_targets(table, statement.table, statement.where)
+        slots = self._dml_targets(table, statement.where)
         updates: List[Tuple[int, List[Any]]] = []
         for slot in slots:
             row = list(table.row_at(slot))
@@ -1053,7 +1056,7 @@ class Database:
 
     def _execute_delete(self, statement: ast.Delete) -> ResultSet:
         table = self._resolve_writable_table(statement.table)
-        slots = self._dml_targets(table, statement.table, statement.where)
+        slots = self._dml_targets(table, statement.where)
         for slot in slots:
             table.delete(slot)
         return ResultSet(rowcount=len(slots))

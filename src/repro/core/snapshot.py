@@ -112,6 +112,8 @@ def _table_ddl(table: Table) -> str:
 def _index_entries(table: Table) -> List[Dict[str, Any]]:
     entries = []
     for index in table.indexes.values():
+        if index is table.primary_key_index:
+            continue  # re-created by the table's CREATE TABLE
         if isinstance(index, OrderedIndex):
             kind = "ordered"
         elif isinstance(index, HashIndex):

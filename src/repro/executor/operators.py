@@ -16,12 +16,12 @@ for per-operator metering only while it runs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 from ..budget import current_token
 from ..expr.compile import CompiledExpression
 from ..observability.tracer import current_tracer
-from ..storage.index import Index
+from ..storage.index import Index, OrderedIndex
 from ..storage.table import Table
 
 Row = List[Any]
@@ -62,30 +62,72 @@ class Operator:
         return ()
 
 
-class SeqScanOp(Operator):
-    """Full scan of a table into one slot of a fresh combined row."""
+class TableAccessOp(Operator):
+    """A base-table leaf: the live rows at its :meth:`slot_numbers`, each
+    into one slot of a fresh combined row. A slot vacated since the leaf
+    learnt its number — a streamed plan can be suspended across a
+    ``DELETE`` — is passed over, whichever leaf it is.
 
-    def __init__(self, table: Table, slot: int, width: int):
+    ``number_slot`` names a second combined-row position that receives
+    the row's slot number — ``UPDATE`` / ``DELETE`` collect their targets
+    from there, so DML runs the same access plans as ``SELECT``.
+    """
+
+    def __init__(
+        self,
+        table: Table,
+        slot: int,
+        width: int,
+        number_slot: Optional[int] = None,
+    ):
         self.table = table
         self.slot = slot
         self.width = width
+        self.number_slot = number_slot
+
+    def slot_numbers(self) -> Iterable[int]:
+        raise NotImplementedError
 
     def _rows(self) -> Iterator[Row]:
-        slot, width = self.slot, self.width
-        token = current_token()
-        for _slot_number, stored in self.table.scan():
-            if token is not None:
-                token.tick()
+        slot, width, number_slot = self.slot, self.width, self.number_slot
+        stored_rows = self.table.slots
+        for slot_number in self.slot_numbers():
+            stored = stored_rows[slot_number]
+            if stored is None:
+                continue
             row: Row = [None] * width
             row[slot] = stored
+            if number_slot is not None:
+                row[number_slot] = slot_number
             yield row
+
+
+def _budgeted(slot_numbers: Iterable[int]) -> Iterable[int]:
+    """``slot_numbers`` under the ambient budget, if there is one: a tick
+    for each slot handed out."""
+    token = current_token()
+    return slot_numbers if token is None else _ticking(slot_numbers, token)
+
+
+def _ticking(slot_numbers: Iterable[int], token) -> Iterator[int]:
+    for slot_number in slot_numbers:
+        token.tick()
+        yield slot_number
+
+
+class SeqScanOp(TableAccessOp):
+    """Full scan of a table: every slot it has when the scan starts."""
+
+    def slot_numbers(self) -> Iterable[int]:
+        return _budgeted(range(len(self.table.slots)))
 
     def describe(self) -> str:
         return f"SeqScan({self.table.name})"
 
 
-class IndexLookupOp(Operator):
-    """Point lookup through a secondary index.
+class IndexLookupOp(TableAccessOp):
+    """Point lookup through an index: the rows whose key *equals* the
+    probed one, as ``=`` has it — a key of another type finds none.
 
     ``key`` is either a constant tuple or a zero-argument callable
     producing the key tuple — the latter defers evaluation to execution
@@ -99,71 +141,81 @@ class IndexLookupOp(Operator):
         key: Any,
         slot: int,
         width: int,
+        number_slot: Optional[int] = None,
     ):
-        self.table = table
+        super().__init__(table, slot, width, number_slot)
         self.index = index
         self.key = key if callable(key) else tuple(key)
-        self.slot = slot
-        self.width = width
 
-    def _rows(self) -> Iterator[Row]:
-        key = self.key() if callable(self.key) else self.key
-        for slot_number in self.index.lookup(key):
-            row: Row = [None] * self.width
-            row[self.slot] = self.table.row_at(slot_number)
-            yield row
+    def slot_numbers(self) -> Iterable[int]:
+        return self.index.lookup(self.key() if callable(self.key) else self.key)
 
     def describe(self) -> str:
         return f"IndexLookup({self.table.name}.{self.index.name})"
 
 
-class IndexRangeScanOp(Operator):
+class IndexRangeScanOp(TableAccessOp):
     """Range scan over an ordered index's leading column.
 
     ``low`` / ``high`` are constant values or zero-argument callables
     (evaluated per execution for prepared statements); either bound may
-    be ``None`` (open).
+    be ``None`` (open). ``comparisons`` is the predicate the range stands
+    for, over a combined row: bounds the index cannot order against its
+    keys (a string against numbers, which the comparison operators
+    coerce row by row) are answered by it over a scan, so that the range
+    finds what the comparisons would have kept.
     """
 
     def __init__(
         self,
         table: Table,
-        index: Index,
+        index: OrderedIndex,
         low: Any,
         high: Any,
         low_inclusive: bool,
         high_inclusive: bool,
+        comparisons: CompiledExpression,
         slot: int,
         width: int,
+        number_slot: Optional[int] = None,
     ):
-        self.table = table
+        super().__init__(table, slot, width, number_slot)
         self.index = index
         self.low = low
         self.high = high
         self.low_inclusive = low_inclusive
         self.high_inclusive = high_inclusive
-        self.slot = slot
-        self.width = width
+        self.comparisons = comparisons
 
-    def _rows(self) -> Iterator[Row]:
+    def slot_numbers(self) -> Iterable[int]:
         low = self.low() if callable(self.low) else self.low
         high = self.high() if callable(self.high) else self.high
+        try:
+            slot_numbers = self.index.range_scan(
+                (low,) if low is not None else None,
+                (high,) if high is not None else None,
+                self.low_inclusive,
+                self.high_inclusive,
+            )
+        except TypeError:
+            return self._compared(_budgeted(range(len(self.table.slots))))
         if (self.low is not None and low is None) or (
             self.high is not None and high is None
         ):
-            return  # a bound evaluated to NULL: the predicate is UNKNOWN
-        token = current_token()
-        for slot_number in self.index.range_scan(
-            (low,) if low is not None else None,
-            (high,) if high is not None else None,
-            self.low_inclusive,
-            self.high_inclusive,
-        ):
-            if token is not None:
-                token.tick()
-            row: Row = [None] * self.width
-            row[self.slot] = self.table.row_at(slot_number)
-            yield row
+            return ()  # a bound evaluated to NULL: the predicate is UNKNOWN
+        return _budgeted(slot_numbers)
+
+    def _compared(self, slot_numbers: Iterable[int]) -> Iterator[int]:
+        """Those of ``slot_numbers`` whose rows ``comparisons`` keeps."""
+        keeps, slot = self.comparisons.fn, self.slot
+        stored_rows = self.table.slots
+        row: Row = [None] * self.width
+        for slot_number in slot_numbers:
+            stored = stored_rows[slot_number]
+            if stored is not None:
+                row[slot] = stored
+                if keeps(row) is True:
+                    yield slot_number
 
     def describe(self) -> str:
         left = "[" if self.low_inclusive else "("

@@ -11,7 +11,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..errors import PlanningError
 from ..expr.compile import ExpressionCompiler
-from ..expr.scope import Scope
+from ..expr.scope import ColumnRef, Scope
 from ..sql import ast
 
 
@@ -70,30 +70,47 @@ def equi_join_sides(
     return None
 
 
+def _column_of(
+    node: ast.Expression, alias: str, scope: Optional[Scope]
+) -> Optional[str]:
+    """The column ``node`` names on ``alias``: ``alias.column``, or a bare
+    ``column`` that ``scope`` resolves to that alias alone. A bare name
+    that is ambiguous, unknown or an alias itself names no column here —
+    compiling the expression reports those, not index selection."""
+    if isinstance(node, ast.FieldAccess):
+        if (
+            node.base.lower() == alias.lower()
+            and len(node.accessors) == 1
+            and isinstance(node.accessors[0], ast.NameAccessor)
+        ):
+            return node.accessors[0].name
+    elif isinstance(node, ast.Identifier) and scope is not None:
+        try:
+            reference = scope.resolve_identifier(node.name)
+        except PlanningError:
+            return None
+        if (
+            isinstance(reference, ColumnRef)
+            and reference.binding.alias.lower() == alias.lower()
+        ):
+            return reference.name
+    return None
+
+
 def extract_column_equality(
-    conjunct: ast.Expression, alias: str
+    conjunct: ast.Expression, alias: str, scope: Optional[Scope] = None
 ) -> Optional[Tuple[str, ast.Expression]]:
-    """Match ``alias.column = <expr>`` (either orientation).
+    """Match ``alias.column = <expr>`` (either orientation; with a
+    ``scope``, also an unqualified ``column`` only ``alias`` owns).
 
     Returns ``(column_name, other_side)`` — used for index selection.
     """
     if not (isinstance(conjunct, ast.BinaryOp) and conjunct.op == "="):
         return None
-
-    def column_of(node: ast.Expression) -> Optional[str]:
-        if (
-            isinstance(node, ast.FieldAccess)
-            and node.base.lower() == alias.lower()
-            and len(node.accessors) == 1
-            and isinstance(node.accessors[0], ast.NameAccessor)
-        ):
-            return node.accessors[0].name
-        return None
-
-    left_column = column_of(conjunct.left)
+    left_column = _column_of(conjunct.left, alias, scope)
     if left_column is not None:
         return left_column, conjunct.right
-    right_column = column_of(conjunct.right)
+    right_column = _column_of(conjunct.right, alias, scope)
     if right_column is not None:
         return right_column, conjunct.left
     return None
@@ -111,30 +128,20 @@ _RANGE_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 def extract_column_comparison(
-    conjunct: ast.Expression, alias: str
+    conjunct: ast.Expression, alias: str, scope: Optional[Scope] = None
 ) -> Optional[Tuple[str, str, ast.Expression]]:
     """Match ``alias.column OP <expr>`` for OP in < <= > >= (either
     orientation; the operator is normalized to the column-on-the-left
-    form). Returns ``(column, op, other_side)``."""
+    form; unqualified columns as in :func:`extract_column_equality`).
+    Returns ``(column, op, other_side)``."""
     if not isinstance(conjunct, ast.BinaryOp):
         return None
     if conjunct.op not in _RANGE_FLIP:
         return None
-
-    def column_of(node: ast.Expression) -> Optional[str]:
-        if (
-            isinstance(node, ast.FieldAccess)
-            and node.base.lower() == alias.lower()
-            and len(node.accessors) == 1
-            and isinstance(node.accessors[0], ast.NameAccessor)
-        ):
-            return node.accessors[0].name
-        return None
-
-    left_column = column_of(conjunct.left)
+    left_column = _column_of(conjunct.left, alias, scope)
     if left_column is not None:
         return left_column, conjunct.op, conjunct.right
-    right_column = column_of(conjunct.right)
+    right_column = _column_of(conjunct.right, alias, scope)
     if right_column is not None:
         return right_column, _RANGE_FLIP[conjunct.op], conjunct.left
     return None

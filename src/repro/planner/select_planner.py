@@ -14,6 +14,7 @@ Follows the paper's conceptual evaluation (Section 5.3):
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ExecutionError, PlanningError
@@ -31,7 +32,7 @@ from ..executor.operators import (
     SeqScanOp,
     SingleRowOp,
 )
-from ..expr.compile import CompiledExpression, ExpressionCompiler
+from ..expr.compile import ExpressionCompiler
 from ..expr.scope import (
     EdgeBinding,
     PathBinding,
@@ -51,6 +52,7 @@ from ..graph.operators import (
 from ..graph.traversal import TraversalSpec, choose_traversal
 from ..sql import ast
 from ..storage.catalog import Catalog
+from ..storage.index import HashIndex, OrderedIndex
 from ..storage.schema import Column, TableSchema
 from ..storage.table import Table
 from ..types import SqlType
@@ -100,6 +102,18 @@ class _FromEntry:
         self.kind = kind  # 'INNER' | 'CROSS' | 'LEFT'
         self.on_condition = on_condition
         self.binding = None
+
+
+class _Bound:
+    """``column OP <constant or parameterized expression>``: one side of
+    an index probe, evaluated per execution."""
+
+    __slots__ = ("conjunct", "value", "inclusive")
+
+    def __init__(self, conjunct, value: Callable[[], Any], inclusive: bool):
+        self.conjunct = conjunct
+        self.value = value
+        self.inclusive = inclusive
 
 
 class SelectPlanner:
@@ -499,7 +513,7 @@ class SelectPlanner:
                     continue
                 if aliases == {alias}:
                     singles += 1
-                    if extract_column_equality(conjunct, alias) is not None:
+                    if extract_column_equality(conjunct, alias, scope) is not None:
                         equalities += 1
             base = self._base_cardinality(entry)
             estimate = float(max(base, 1))
@@ -583,17 +597,9 @@ class SelectPlanner:
                         ExpressionCompiler(scope).compile(conjoin(singles)),
                     )
                 return scan
-            table: Table = binding.table
-            scan, leftover = self._pick_index_access(
-                table, binding.alias, singles, scope, slot, width
+            return self._plan_table_access(
+                binding.table, binding.alias, singles, scope, slot, width
             )
-            if scan is None:
-                scan = SeqScanOp(table, slot, width)
-            if leftover:
-                scan = FilterOp(
-                    scan, ExpressionCompiler(scope).compile(conjoin(leftover))
-                )
-            return scan
         if isinstance(binding, (VertexBinding, EdgeBinding)):
             # O(1) identifier lookup through the topology hash maps
             # (Section 3.2) instead of scanning all elements
@@ -629,7 +635,20 @@ class SelectPlanner:
             return scan
         raise PlanningError("internal: path entries use _plan_path_entry")
 
-    def _pick_index_access(
+    def plan_dml_targets(
+        self, table: Table, where: Optional[ast.Expression]
+    ) -> Operator:
+        """The rows of ``table`` an ``UPDATE`` / ``DELETE`` with this
+        ``WHERE`` selects, reached as a single-table ``SELECT`` reaches
+        them. Each combined row holds the stored row at position 0 and
+        its slot number at position 1."""
+        scope = Scope([RelationBinding(table.name, 0, table.schema)])
+        singles = split_conjuncts(self._materialize_subqueries(where))
+        return self._plan_table_access(
+            table, table.name, singles, scope, 0, 2, number_slot=1
+        )
+
+    def _plan_table_access(
         self,
         table: Table,
         alias: str,
@@ -637,93 +656,153 @@ class SelectPlanner:
         scope: Scope,
         slot: int,
         width: int,
+        number_slot: Optional[int] = None,
+    ) -> Operator:
+        """Access path for a base table under its single-alias conjuncts:
+        an index lookup, else an ordered range scan, else a scan; what
+        the access path does not answer stays as a ``Filter`` above it."""
+        place = (slot, width, number_slot)
+        scan, leftover = self._pick_index_access(
+            table, alias, singles, scope, place
+        )
+        if scan is None:
+            scan = SeqScanOp(table, *place)
+        if leftover:
+            scan = FilterOp(
+                scan, ExpressionCompiler(scope).compile(conjoin(leftover))
+            )
+        return scan
+
+    def _pick_index_access(
+        self,
+        table: Table,
+        alias: str,
+        singles: List[ast.Expression],
+        scope: Scope,
+        place: Tuple[int, int, Optional[int]],
     ) -> Tuple[Optional[Operator], List[ast.Expression]]:
         """Choose an index access path for a base-table scan.
 
-        Preference order: the index covering the most equality-bound key
-        columns (multi-column lookups), then a range scan over an
-        ordered index's leading column. Bound expressions must be
-        constant or parameterized (no alias references); bounds evaluate
-        lazily so prepared statements re-bind correctly.
+        Among the indexes whose every key column is bound by an equality:
+        the one with the most key columns, then one that finds at most
+        one row (unique, or keyed on a unique key's columns) over one
+        that may find many, then hash over ordered, then by name — a
+        deterministic choice whatever order the indexes were created in.
+        Only when none applies, a range scan over the leading column of
+        an ordered index (two bounds over one, then by name). Bound
+        expressions must be constant or parameterized (no alias
+        references); they evaluate lazily so prepared statements re-bind
+        correctly. A probe is handed to the index as it evaluates, with
+        no coercion: the access operators answer what the comparison
+        operators would (``k = '5'`` finds no integer key; ``k >= '5'``,
+        which ``>=`` coerces, is left to it), so an index never changes
+        a statement's result.
         """
-        empty_row = [None] * width
-        # column -> (conjunct, compiled other side), equalities only
-        equalities: Dict[str, Tuple[ast.Expression, CompiledExpression]] = {}
+        empty_row = [None] * place[1]
+        # column -> the first usable bound of each kind
+        equalities: Dict[str, _Bound] = {}
+        lows: Dict[str, _Bound] = {}
+        highs: Dict[str, _Bound] = {}
         for conjunct in singles:
-            match = extract_column_equality(conjunct, alias)
+            match = extract_column_equality(conjunct, alias, scope)
+            op = "="
             if match is None:
-                continue
-            column, other = match
+                match = extract_column_comparison(conjunct, alias, scope)
+                if match is None:
+                    continue
+                op = match[1]
+            column, other = match[0], match[-1]
             compiled = ExpressionCompiler(scope).compile(other)
             if compiled.aliases:
-                continue
-            equalities.setdefault(column.lower(), (conjunct, compiled))
-
-        best_index = None
-        for index in table.indexes.values():
-            if all(c.lower() in equalities for c in index.key_columns):
-                if best_index is None or len(index.key_columns) > len(
-                    best_index.key_columns
-                ):
-                    best_index = index
-        if best_index is not None:
-            parts = [
-                equalities[c.lower()][1] for c in best_index.key_columns
-            ]
-            consumed = {
-                id(equalities[c.lower()][0]) for c in best_index.key_columns
-            }
-            scan = IndexLookupOp(
-                table,
-                best_index,
-                lambda _parts=parts: tuple(p.fn(empty_row) for p in _parts),
-                slot,
-                width,
+                continue  # the bound depends on a row
+            bounds = (
+                equalities if op == "=" else lows if op in (">", ">=") else highs
             )
-            leftover = [c for c in singles if id(c) not in consumed]
-            return scan, leftover
+            bounds.setdefault(
+                column.lower(),
+                _Bound(
+                    conjunct,
+                    functools.partial(compiled.fn, empty_row),
+                    inclusive=op in ("=", ">=", "<="),
+                ),
+            )
 
-        # range scan: ordered index whose leading column has bounds
-        from ..storage.index import OrderedIndex
+        def without(used: Sequence[_Bound]) -> List[ast.Expression]:
+            return [
+                c for c in singles if all(c is not bound.conjunct for bound in used)
+            ]
 
-        for index in table.indexes.values():
-            if not isinstance(index, OrderedIndex):
-                continue
+        covered = [
+            index
+            for index in table.indexes.values()
+            if all(c.lower() in equalities for c in index.key_columns)
+        ]
+        if covered:
+            unique_keys = [
+                {c.lower() for c in index.key_columns}
+                for index in covered
+                if index.unique
+            ]
+
+            def finds_one_row(index) -> bool:
+                """Unique itself, or keyed on (at least) a unique key: a
+                hash index on the primary-key column finds one row too."""
+                columns = {c.lower() for c in index.key_columns}
+                return any(key <= columns for key in unique_keys)
+
+            best = min(
+                covered,
+                key=lambda index: (
+                    -len(index.key_columns),
+                    not finds_one_row(index),
+                    not isinstance(index, HashIndex),
+                    index.name,
+                ),
+            )
+            used = [equalities[c.lower()] for c in best.key_columns]
+            values = [bound.value for bound in used]
+            if len(values) == 1:
+                # the common case without the generator's frame: a
+                # prepared point read runs cache-cold between traversals
+                (value,) = values
+
+                def key():
+                    return (value(),)
+            else:
+                def key():
+                    return tuple(v() for v in values)
+
+            return IndexLookupOp(table, best, key, *place), without(used)
+
+        def bounds_of(index):
             leading = index.key_columns[0].lower()
-            low = high = None
-            low_inclusive = high_inclusive = True
-            consumed_range: List[ast.Expression] = []
-            for conjunct in singles:
-                match = extract_column_comparison(conjunct, alias)
-                if match is None or match[0].lower() != leading:
-                    continue
-                column, op, other = match
-                compiled = ExpressionCompiler(scope).compile(other)
-                if compiled.aliases:
-                    continue
-                if op in (">", ">=") and low is None:
-                    low = compiled
-                    low_inclusive = op == ">="
-                    consumed_range.append(conjunct)
-                elif op in ("<", "<=") and high is None:
-                    high = compiled
-                    high_inclusive = op == "<="
-                    consumed_range.append(conjunct)
-            if low is None and high is None:
-                continue
+            return [b for b in (lows.get(leading), highs.get(leading)) if b]
+
+        ranged = [
+            index
+            for index in table.indexes.values()
+            if isinstance(index, OrderedIndex) and bounds_of(index)
+        ]
+        if ranged:
+            best = min(
+                ranged, key=lambda index: (-len(bounds_of(index)), index.name)
+            )
+            leading = best.key_columns[0].lower()
+            low, high = lows.get(leading), highs.get(leading)
+            used = bounds_of(best)
             scan = IndexRangeScanOp(
                 table,
-                index,
-                (lambda _c=low: _c.fn(empty_row)) if low is not None else None,
-                (lambda _c=high: _c.fn(empty_row)) if high is not None else None,
-                low_inclusive,
-                high_inclusive,
-                slot,
-                width,
+                best,
+                low and low.value,
+                high and high.value,
+                low is None or low.inclusive,
+                high is None or high.inclusive,
+                ExpressionCompiler(scope).compile(
+                    conjoin([bound.conjunct for bound in used])
+                ),
+                *place,
             )
-            consumed_ids = {id(c) for c in consumed_range}
-            leftover = [c for c in singles if id(c) not in consumed_ids]
-            return scan, leftover
+            return scan, without(used)
         return None, list(singles)
 
     # ------------------------------------------------------------------

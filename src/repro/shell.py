@@ -9,8 +9,10 @@ SELECT ...;`` runs like any other statement. Meta-commands start with
 ====================  ====================================================
 ``.help``             this text
 ``.tables``           list tables, views and graph views
-``.schema NAME``      columns of a table/view, or structure of a graph view
-``.explain SQL``      physical plan of a SELECT (no trailing ``;`` needed)
+``.schema NAME``      columns and indexes of a table/view, or structure of a
+                      graph view (``\\d NAME`` is the same command)
+``.explain SQL``      physical plan of a SELECT, or the access plan of an
+                      UPDATE / DELETE (no trailing ``;`` needed)
 ``.timer on|off``     print wall-clock time per statement
 ``.run FILE``         execute a ``;``-separated SQL script from a file
 ``\\timeout MS``       abort statements running longer than MS milliseconds
@@ -64,6 +66,7 @@ from .core.database import Database
 from .core.result import ResultSet
 from .errors import DatabaseError, ResourceExhaustedError, SqlSyntaxError
 from .observability.metrics import get_registry
+from .storage.index import OrderedIndex
 
 PROMPT = "repro> "
 CONTINUATION = "  ...> "
@@ -207,6 +210,8 @@ class Shell:
     def _command(self, line: str) -> None:
         parts = line.split(None, 1)
         name = parts[0][1:].lower()
+        if name == "d":
+            name = "schema"
         argument = parts[1].strip() if len(parts) > 1 else ""
         if self.client is not None and name in (
             "tables", "schema", "run", "replica", "promote",
@@ -754,10 +759,20 @@ class Shell:
                 flags.append("NOT NULL")
             suffix = (" " + " ".join(flags)) if flags else ""
             self.write(f"  {column.name} {column.sql_type.value}{suffix}")
+        for index in table.indexes.values():
+            if index is table.primary_key_index:
+                kind = "PRIMARY KEY"
+            else:
+                kind = ("unique " if index.unique else "") + (
+                    "ordered" if isinstance(index, OrderedIndex) else "hash"
+                )
+            self.write(
+                f"  index {index.name} ({', '.join(index.key_columns)}) {kind}"
+            )
 
     def _explain(self, sql: str) -> None:
         if not sql:
-            self.write("usage: .explain SELECT ...")
+            self.write("usage: .explain SELECT ... | UPDATE ... | DELETE ...")
             return
         try:
             if self.client is not None:

@@ -1,14 +1,32 @@
-"""Hand-written SQL lexer.
+"""SQL lexer: one compiled regular expression, one pass.
 
-Produces a flat token stream. Keywords are recognized case-insensitively;
-identifiers preserve their written case (lookups elsewhere are
-case-insensitive). Supports ``--`` line comments and ``/* */`` block
-comments, single-quoted strings with ``''`` escaping, and double-quoted
-identifiers.
+Token grammar (the alternatives of ``_MASTER``, tried in this order at
+each position; keywords are recognized case-insensitively, identifiers
+preserve their written case, lookups elsewhere are case-insensitive):
+
+* skipped — whitespace, ``--`` line comments, ``/* */`` block comments;
+* ``FLOAT`` — digits with a fraction (``3.14``, ``3.``) and/or an exponent
+  (``1e3``, ``2.5e-2``); a number starts with a digit, and a ``.`` that
+  begins ``..`` is the path-range punctuation (``Edges[0..*]``), never a
+  decimal point;
+* ``INTEGER`` — digits;
+* ``KEYWORD`` / ``IDENTIFIER`` — a letter or ``_`` followed by letters,
+  digits and ``_``; a keyword when its upper-cased text is in ``KEYWORDS``;
+* ``STRING`` — single-quoted, ``''`` is an escaped quote;
+* ``IDENTIFIER`` — double-quoted, taken verbatim;
+* ``OPERATOR`` — ``<= >= <> != || = < > + - * / %``;
+* ``PUNCTUATION`` — ``( ) , . ; [ ] ?``;
+* anything else is a syntax error: an unterminated string, quoted
+  identifier or block comment (reported at the end of the input) or an
+  unexpected character (reported where it stands).
+
+A token keeps its offset; line and column are derived from it when asked
+for, which only error messages do.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum, auto
 from typing import Iterator, List, Optional
 
@@ -44,42 +62,74 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-_OPERATORS = (
-    "<=",
-    ">=",
-    "<>",
-    "!=",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    "%",
-    "||",
+_MASTER = re.compile(
+    r"""
+      (?P<SKIP>        \s+ | --[^\n]* | /\*[\s\S]*?\*/ )
+    | (?P<FLOAT>       \d+ (?: \.(?!\.)\d* (?:[eE][+-]?\d+)? | [eE][+-]?\d+ ) )
+    | (?P<INTEGER>     \d+ )
+    | (?P<WORD>        [^\W\d]\w* )
+    | (?P<STRING>      '[^']*(?:''[^']*)*'(?!') )
+    | (?P<QUOTED>      "[^"]*" )
+    | (?P<OPEN_COMMENT> /\* )
+    | (?P<OPERATOR>    <= | >= | <> | != | \|\| | [=<>+\-*/%] )
+    | (?P<PUNCTUATION> [(),.;\[\]?] )
+    | (?P<OPEN_STRING>  ' )
+    | (?P<OPEN_QUOTED>  " )
+    | (?P<STRAY>        . )
+    """,
+    re.VERBOSE,
 )
 
-_PUNCTUATION = "(),.;[]?"
+_UNTERMINATED = {
+    "OPEN_COMMENT": "unterminated block comment",
+    "OPEN_STRING": "unterminated string literal",
+    "OPEN_QUOTED": "unterminated quoted identifier",
+}
+
+_PLAIN = {
+    "FLOAT": TokenType.FLOAT,
+    "INTEGER": TokenType.INTEGER,
+    "OPERATOR": TokenType.OPERATOR,
+    "PUNCTUATION": TokenType.PUNCTUATION,
+}
+
+
+def _position(text: str, offset: int):
+    """1-based ``(line, column)`` of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class Token:
-    __slots__ = ("type", "value", "line", "column")
+    """``value`` is the token as written (quotes removed); ``upper`` is
+    what keyword, operator and punctuation matching compares."""
 
-    def __init__(self, type_: TokenType, value: str, line: int, column: int):
+    __slots__ = ("type", "value", "upper", "_text", "_offset")
+
+    def __init__(
+        self, type_: TokenType, value: str, upper: str, text: str, offset: int
+    ):
         self.type = type_
         self.value = value
-        self.line = line
-        self.column = column
+        self.upper = upper
+        self._text = text
+        self._offset = offset
+
+    @property
+    def line(self) -> int:
+        return _position(self._text, self._offset)[0]
+
+    @property
+    def column(self) -> int:
+        return _position(self._text, self._offset)[1]
 
     def matches(self, type_: TokenType, value: Optional[str] = None) -> bool:
         if self.type is not type_:
             return False
         if value is None:
             return True
-        if type_ in (TokenType.KEYWORD, TokenType.OPERATOR, TokenType.PUNCTUATION):
-            return self.value.upper() == value.upper()
-        return self.value == value
+        if type_ is TokenType.IDENTIFIER or type_ is TokenType.STRING:
+            return self.value == value
+        return self.upper == value.upper()
 
     def __repr__(self) -> str:
         return f"Token({self.type.name}, {self.value!r})"
@@ -90,156 +140,48 @@ class Lexer:
 
     def __init__(self, text: str):
         self.text = text
-        self.position = 0
-        self.line = 1
-        self.column = 1
 
     def tokens(self) -> List[Token]:
         return list(self)
 
     def __iter__(self) -> Iterator[Token]:
-        while True:
-            token = self._next_token()
-            yield token
-            if token.type is TokenType.EOF:
-                return
-
-    # ------------------------------------------------------------------
-
-    def _error(self, message: str) -> SqlSyntaxError:
-        return SqlSyntaxError(message, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.position < len(self.text):
-                if self.text[self.position] == "\n":
-                    self.line += 1
-                    self.column = 1
-                else:
-                    self.column += 1
-                self.position += 1
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self.position < len(self.text):
-            ch = self._peek()
-            if ch.isspace():
-                self._advance()
-            elif ch == "-" and self._peek(1) == "-":
-                while self.position < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.position < len(self.text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
+        text = self.text
+        # every character belongs to some alternative, so the matches
+        # tile the text and nothing is skipped unseen
+        for match in _MASTER.finditer(text):
+            kind = match.lastgroup
+            if kind == "SKIP":
+                continue
+            if kind == "WORD":
+                # Keywords keep their written case (matching is done
+                # case-insensitively) so that keyword-named attributes
+                # like ``PS.Edges`` round-trip verbatim through the AST.
+                word = match.group()
+                upper = word.upper()
+                type_ = (
+                    TokenType.KEYWORD
+                    if upper in KEYWORDS
+                    else TokenType.IDENTIFIER
+                )
+                yield Token(type_, word, upper, text, match.start())
+            elif kind in _PLAIN:
+                value = match.group()
+                yield Token(_PLAIN[kind], value, value, text, match.start())
+            elif kind == "STRING":
+                value = match.group()[1:-1].replace("''", "'")
+                yield Token(TokenType.STRING, value, value, text, match.start())
+            elif kind == "QUOTED":
+                value = match.group()[1:-1]
+                yield Token(
+                    TokenType.IDENTIFIER, value, value, text, match.start()
+                )
+            elif kind == "STRAY":
+                raise SqlSyntaxError(
+                    f"unexpected character {match.group()!r}",
+                    *_position(text, match.start()),
+                )
             else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_whitespace_and_comments()
-        line, column = self.line, self.column
-        if self.position >= len(self.text):
-            return Token(TokenType.EOF, "", line, column)
-        ch = self._peek()
-        # Numbers must start with a digit: a leading '.' is always the
-        # member-access / path-range punctuation (e.g. ``Edges[0..*]``).
-        if ch.isdigit():
-            return self._lex_number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._lex_word(line, column)
-        if ch == "'":
-            return self._lex_string(line, column)
-        if ch == '"':
-            return self._lex_quoted_identifier(line, column)
-        for op in _OPERATORS:
-            if self.text.startswith(op, self.position):
-                self._advance(len(op))
-                return Token(TokenType.OPERATOR, op, line, column)
-        if ch in _PUNCTUATION:
-            self._advance()
-            return Token(TokenType.PUNCTUATION, ch, line, column)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self.position
-        saw_dot = False
-        saw_exp = False
-        while self.position < len(self.text):
-            ch = self._peek()
-            if ch.isdigit():
-                self._advance()
-            elif ch == "." and not saw_dot and not saw_exp:
-                # ".." is the path range operator, not a decimal point
-                if self._peek(1) == ".":
-                    break
-                saw_dot = True
-                self._advance()
-            elif ch in "eE" and not saw_exp and self._peek(1).isdigit():
-                saw_exp = True
-                self._advance(2)
-            elif (
-                ch in "eE"
-                and not saw_exp
-                and self._peek(1) in "+-"
-                and self._peek(2).isdigit()
-            ):
-                saw_exp = True
-                self._advance(3)
-            else:
-                break
-        text = self.text[start : self.position]
-        if saw_dot or saw_exp:
-            return Token(TokenType.FLOAT, text, line, column)
-        return Token(TokenType.INTEGER, text, line, column)
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self.position
-        while self.position < len(self.text) and (
-            self._peek().isalnum() or self._peek() == "_"
-        ):
-            self._advance()
-        text = self.text[start : self.position]
-        if text.upper() in KEYWORDS:
-            # Keywords keep their written case (matching is done
-            # case-insensitively) so that keyword-named attributes like
-            # ``PS.Edges`` round-trip verbatim through the AST.
-            return Token(TokenType.KEYWORD, text, line, column)
-        return Token(TokenType.IDENTIFIER, text, line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: List[str] = []
-        while True:
-            if self.position >= len(self.text):
-                raise self._error("unterminated string literal")
-            ch = self._peek()
-            if ch == "'":
-                if self._peek(1) == "'":
-                    parts.append("'")
-                    self._advance(2)
-                else:
-                    self._advance()
-                    break
-            else:
-                parts.append(ch)
-                self._advance()
-        return Token(TokenType.STRING, "".join(parts), line, column)
-
-    def _lex_quoted_identifier(self, line: int, column: int) -> Token:
-        self._advance()
-        start = self.position
-        while self.position < len(self.text) and self._peek() != '"':
-            self._advance()
-        if self.position >= len(self.text):
-            raise self._error("unterminated quoted identifier")
-        text = self.text[start : self.position]
-        self._advance()
-        return Token(TokenType.IDENTIFIER, text, line, column)
+                raise SqlSyntaxError(
+                    _UNTERMINATED[kind], *_position(text, len(text))
+                )
+        yield Token(TokenType.EOF, "", "", text, len(text))

@@ -25,6 +25,10 @@ _GRAPH_ELEMENTS = {"PATHS", "VERTEXES", "EDGES"}
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
+_ADDITIVE_OPS = {"+", "-", "||"}
+
+_MULTIPLICATIVE_OPS = {"*", "/", "%"}
+
 _AGGREGATE_KEYWORDS = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
 
@@ -41,6 +45,8 @@ class Parser:
     # ------------------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
+        if not offset:
+            return self._tokens[self._position]  # never past the EOF token
         index = min(self._position + offset, len(self._tokens) - 1)
         return self._tokens[index]
 
@@ -59,11 +65,11 @@ class Parser:
         )
 
     def _check(self, type_: TokenType, value: Optional[str] = None) -> bool:
-        return self._peek().matches(type_, value)
+        return self._tokens[self._position].matches(type_, value)
 
     def _check_keyword(self, *keywords: str) -> bool:
-        token = self._peek()
-        return token.type is TokenType.KEYWORD and token.value.upper() in keywords
+        token = self._tokens[self._position]
+        return token.type is TokenType.KEYWORD and token.upper in keywords
 
     def _accept(self, type_: TokenType, value: Optional[str] = None) -> Optional[Token]:
         if self._check(type_, value):
@@ -469,7 +475,7 @@ class Parser:
             next_token = self._peek(1)
             if (
                 next_token.type is TokenType.KEYWORD
-                and next_token.value.upper() in _GRAPH_ELEMENTS
+                and next_token.upper in _GRAPH_ELEMENTS
             ):
                 self._advance()  # '.'
                 element = self._advance().value  # PATHS / VERTEXES / EDGES
@@ -534,7 +540,7 @@ class Parser:
         negated = False
         if self._check_keyword("NOT"):
             following = self._peek(1)
-            if following.type is TokenType.KEYWORD and following.value in (
+            if following.type is TokenType.KEYWORD and following.upper in (
                 "IN",
                 "LIKE",
                 "BETWEEN",
@@ -572,42 +578,41 @@ class Parser:
     def _parse_additive(self) -> ast.Expression:
         left = self._parse_multiplicative()
         while True:
-            if self._check(TokenType.OPERATOR, "+"):
-                self._advance()
-                left = ast.BinaryOp("+", left, self._parse_multiplicative())
-            elif self._check(TokenType.OPERATOR, "-"):
-                self._advance()
-                left = ast.BinaryOp("-", left, self._parse_multiplicative())
-            elif self._check(TokenType.OPERATOR, "||"):
-                self._advance()
-                left = ast.BinaryOp("||", left, self._parse_multiplicative())
-            else:
+            token = self._tokens[self._position]
+            if token.type is not TokenType.OPERATOR or token.value not in _ADDITIVE_OPS:
                 return left
+            self._advance()
+            left = ast.BinaryOp(token.value, left, self._parse_multiplicative())
 
     def _parse_multiplicative(self) -> ast.Expression:
         left = self._parse_unary()
         while True:
-            if self._check(TokenType.OPERATOR, "*"):
-                self._advance()
-                left = ast.BinaryOp("*", left, self._parse_unary())
-            elif self._check(TokenType.OPERATOR, "/"):
-                self._advance()
-                left = ast.BinaryOp("/", left, self._parse_unary())
-            elif self._check(TokenType.OPERATOR, "%"):
-                self._advance()
-                left = ast.BinaryOp("%", left, self._parse_unary())
-            else:
+            token = self._tokens[self._position]
+            if (
+                token.type is not TokenType.OPERATOR
+                or token.value not in _MULTIPLICATIVE_OPS
+            ):
                 return left
+            self._advance()
+            left = ast.BinaryOp(token.value, left, self._parse_unary())
 
     def _parse_unary(self) -> ast.Expression:
-        if self._accept(TokenType.OPERATOR, "-"):
-            return ast.UnaryOp("-", self._parse_unary())
-        if self._accept(TokenType.OPERATOR, "+"):
-            return self._parse_unary()
+        token = self._tokens[self._position]
+        if token.type is TokenType.OPERATOR:
+            if token.value == "-":
+                self._advance()
+                return ast.UnaryOp("-", self._parse_unary())
+            if token.value == "+":
+                self._advance()
+                return self._parse_unary()
         return self._parse_primary()
 
     def _parse_primary(self) -> ast.Expression:
         token = self._peek()
+        if token.type is TokenType.IDENTIFIER:
+            if self._peek(1).matches(TokenType.PUNCTUATION, "("):
+                return self._parse_function_call(self._advance().value)
+            return self._parse_field_access()
         if token.type is TokenType.INTEGER:
             self._advance()
             return ast.Literal(int(token.value))
@@ -656,12 +661,8 @@ class Parser:
             expression = self._parse_expression()
             self._expect(TokenType.PUNCTUATION, ")")
             return expression
-        if token.type is TokenType.KEYWORD and token.value.upper() in _AGGREGATE_KEYWORDS:
+        if token.type is TokenType.KEYWORD and token.upper in _AGGREGATE_KEYWORDS:
             return self._parse_function_call(self._advance().value)
-        if token.type is TokenType.IDENTIFIER:
-            if self._peek(1).matches(TokenType.PUNCTUATION, "("):
-                return self._parse_function_call(self._advance().value)
-            return self._parse_field_access()
         raise self._error("expected an expression")
 
     def _parse_case(self) -> ast.Expression:

@@ -35,6 +35,9 @@ class Catalog:
         if self._name_in_use(key):
             raise CatalogError(f"name already in use: {name}")
         table = Table(name, schema)
+        if table.primary_key_index is not None:
+            # reserve the implicit index's name like any CREATE INDEX name
+            self.register_index(table.primary_key_index.name, name)
         self._tables[key] = table
         return table
 

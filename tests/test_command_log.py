@@ -223,7 +223,9 @@ class TestTornTail:
             db = replay_log(str(log_path))
         assert db.execute("SELECT a FROM t").column(0) == [1]
         assert db.recovery_report.torn_tail is not None
-        assert "torn tail" in str(caught[0].message)
+        # any(): a garbage-collection pass inside the block may add an
+        # unrelated ResourceWarning for an earlier test's log file
+        assert any("torn tail" in str(w.message) for w in caught)
         # the file was truncated back to complete statements only
         assert log_path.read_text() == complete
 

@@ -328,9 +328,9 @@ class TestErrors:
         with pytest.raises(PlanningError):
             db.execute("SELECT wat FROM emp")
 
-    def test_explain_non_select_rejected(self, db):
+    def test_explain_without_a_plan_rejected(self, db):
         with pytest.raises(PlanningError):
-            db.explain("DELETE FROM emp")
+            db.explain("TRUNCATE TABLE emp")
 
     def test_execute_script(self):
         db = Database()

@@ -1,5 +1,9 @@
 """Unit tests for the SQL lexer."""
 
+import json
+import pathlib
+import zlib
+
 import pytest
 
 from repro.errors import SqlSyntaxError
@@ -117,3 +121,65 @@ class TestTokenMatching:
         token = lex("Foo")[0]
         assert token.matches(TokenType.IDENTIFIER, "Foo")
         assert not token.matches(TokenType.IDENTIFIER, "foo")
+
+
+# ---------------------------------------------------------------------------
+# differential: the token stream recorded from the character-at-a-time lexer
+# ---------------------------------------------------------------------------
+
+GOLDEN = json.loads(
+    (pathlib.Path(__file__).parent / "lexer_golden.json").read_text(encoding="utf-8")
+)
+
+
+def stream(text):
+    """``[type, value, line, column]`` per token, or the error's
+    ``["error", message, line, column]``."""
+    try:
+        return [
+            [t.type.name, t.value, t.line, t.column] for t in Lexer(text).tokens()
+        ]
+    except SqlSyntaxError as error:
+        return ["error", str(error), error.line, error.column]
+
+
+class TestGoldenStreams:
+    """``lexer_golden.json`` was recorded with the hand-written lexer the
+    regex replaced: ``explicit`` holds whole streams for inputs chosen to
+    sit on the grammar's edges (comments, multi-line strings, ``..``,
+    exponents, Unicode, every error and where it is reported), ``corpus``
+    a CRC of the stream of every SQL string constant that tests/,
+    benchmarks/ and examples/ held at the time."""
+
+    @pytest.mark.parametrize(
+        "text, expected", GOLDEN["explicit"], ids=lambda value: None
+    )
+    def test_explicit_streams(self, text, expected):
+        assert stream(text) == expected
+
+    def test_corpus_streams(self):
+        assert len(GOLDEN["corpus"]) > 900
+        changed = [
+            text
+            for text, crc in GOLDEN["corpus"]
+            if zlib.crc32(json.dumps(stream(text)).encode()) != crc
+        ]
+        assert changed == []
+
+    def test_unterminated_input_is_reported_at_its_end(self):
+        for text, message in [
+            ("SELECT 'abc\n  def", "unterminated string literal"),
+            ("SELECT 'it''", "unterminated string literal"),
+            ('SELECT "abc', "unterminated quoted identifier"),
+            ("SELECT 1 /* abc\n", "unterminated block comment"),
+        ]:
+            with pytest.raises(SqlSyntaxError, match=message) as caught:
+                Lexer(text).tokens()
+            lines = text.split("\n")
+            assert (caught.value.line, caught.value.column) == (
+                len(lines), len(lines[-1]) + 1)
+
+    def test_stray_character_is_reported_where_it_stands(self):
+        with pytest.raises(SqlSyntaxError, match="unexpected character '@'") as caught:
+            Lexer("SELECT a,\n       @b").tokens()
+        assert (caught.value.line, caught.value.column) == (2, 8)

@@ -182,13 +182,14 @@ class TestTracerDisabledPath:
         with tracer_module.activate(tracer):
             db.execute("SELECT id FROM V WHERE id > 2")
         labels = [span.label for span in tracer.spans]
-        assert any("SeqScan" in label for label in labels)
+        # V's primary key answers ``id > 2`` with a range scan
+        assert any("IndexRangeScan" in label for label in labels)
 
 
 class TestExplainAnalyze:
     def test_actual_rows_on_three_operator_plan(self):
         db = Database()
-        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
+        db.execute("CREATE TABLE t (a INTEGER)")  # no key: Filter over a scan
         for i in range(10):
             db.execute(f"INSERT INTO t VALUES ({i})")
         text = db.explain("SELECT a FROM t WHERE a > 1", analyze=True)
@@ -269,8 +270,10 @@ class TestExplainAnalyze:
         db.execute("CREATE TABLE t (a INTEGER)")
         with pytest.raises(PlanningError, match=r"got Insert"):
             db.explain("INSERT INTO t VALUES (1)")
-        with pytest.raises(PlanningError, match=r"got Delete"):
-            db.execute("EXPLAIN DELETE FROM t")
+        # UPDATE / DELETE have an access plan to show, but are not run
+        assert db.execute("EXPLAIN DELETE FROM t").rows == [
+            ("Delete(t)",), ("  SeqScan(t)",),
+        ]
         with pytest.raises(PlanningError, match=r"got Update"):
             db.execute("EXPLAIN ANALYZE UPDATE t SET a = 2")
 

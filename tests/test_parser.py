@@ -293,6 +293,7 @@ class TestExpressions:
 
     def test_not_in(self):
         assert self.where("a NOT IN (1)").negated
+        assert self.where("a not in (1)").negated  # keywords in any case
 
     def test_in_subquery(self):
         expression = self.where("a IN (SELECT b FROM u)")

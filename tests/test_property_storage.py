@@ -11,6 +11,7 @@ Invariants checked under random operation sequences:
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Database
 from repro.errors import ConstraintViolation, ExecutionError
 from repro.storage import Column, HashIndex, Table, TableSchema
 from repro.types import SqlType
@@ -137,3 +138,165 @@ class TestTableInvariants:
                 else:
                     with pytest.raises(ExecutionError):
                         pointer.dereference()
+
+
+# ---------------------------------------------------------------------------
+# DML through access paths == DML through a scan
+# ---------------------------------------------------------------------------
+
+KEY_SPACE = 40
+
+table_rows = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=KEY_SPACE - 1),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=9)),
+    ),
+    max_size=30,
+    unique_by=lambda row: row[0],
+)
+
+bound = st.integers(min_value=-2, max_value=KEY_SPACE + 2)
+small = st.integers(min_value=0, max_value=9)
+
+# the WHERE clauses: every access path (key / hash / ordered column, equality
+# / range / open range, with and without a leftover conjunct) in both
+# spellings of the column
+predicates = st.one_of(
+    st.builds("k = {}".format, bound),
+    st.builds("t.k = {}".format, bound),
+    st.builds("k >= {} AND k < {}".format, bound, bound),
+    st.builds("{} < t.k AND t.k <= {}".format, bound, bound),
+    st.builds("k > {}".format, bound),
+    st.builds("k <= {} AND h = {}".format, bound, small),
+    st.builds("h = {}".format, small),
+    st.builds("t.h = {} AND o > {}".format, small, small),
+    st.builds("o >= {} AND o <= {}".format, small, small),
+    st.builds("o = {} AND k <> {}".format, small, bound),
+    st.builds("k = {} AND k = {}".format, bound, bound),
+    st.just("h = NULL"),
+    st.just("o > NULL"),
+)
+
+# literals of another type than the INTEGER columns they meet: `=` never
+# coerces (no integer equals '5'), the ordering operators read a string as
+# a number row by row and fail on one that is none — whatever path reaches
+# the rows
+foreign = st.one_of(
+    st.builds("'{}'".format, bound),
+    st.builds("{}.0".format, bound),
+    st.builds("{}.5".format, bound),
+)
+mixed_predicates = st.one_of(
+    st.builds("k = {}".format, foreign),
+    st.builds("t.h = {}".format, foreign),
+    st.builds("o = {} AND k > {}".format, foreign, bound),
+    st.builds("k >= {} AND k < {}".format, foreign, bound),
+    st.builds("{} < t.k AND t.k <= {}".format, bound, foreign),
+    st.builds("k <= {}".format, foreign),
+    st.builds("o > {} AND o < {}".format, foreign, foreign),
+    st.builds("o >= {} AND h = {}".format, foreign, small),
+    st.builds(
+        "{} {} 'x'".format,
+        st.sampled_from(["k", "t.h", "o"]),
+        st.sampled_from(["=", "<", ">="]),
+    ),
+)
+predicates = st.one_of(predicates, mixed_predicates)
+
+statements = st.lists(
+    st.one_of(
+        st.builds("DELETE FROM t WHERE {}".format, predicates),
+        st.builds("UPDATE t SET h = o, o = {} WHERE {}".format, small, predicates),
+        # moves the selected keys up by an amount no other statement uses
+        # (filled in per position below), possibly further into the range
+        # that selected them
+        st.builds("UPDATE t SET k = k + {{shift}} WHERE {}".format, predicates),
+    ),
+    max_size=8,
+)
+
+
+def dml_pair(rows):
+    """The table as the engine builds it (PRIMARY KEY + hash + ordered
+    index) and the same rows where no statement has an index to reach."""
+    indexed, scanned = Database(), Database()
+    indexed.execute(
+        "CREATE TABLE t (k INTEGER PRIMARY KEY, h INTEGER, o INTEGER)"
+    )
+    indexed.execute("CREATE INDEX t_h ON t (h)")
+    indexed.create_ordered_index("t_o", "t", ["o"])
+    scanned.execute("CREATE TABLE t (k INTEGER, h INTEGER, o INTEGER)")
+    for database in (indexed, scanned):
+        database.load_rows("t", rows)
+    return indexed, scanned
+
+
+def outcome(database, sql):
+    """What a statement comes to: its rows and rowcount, or its error."""
+    try:
+        result = database.execute(sql)
+    except ExecutionError as error:
+        return type(error)
+    return result.rowcount, sorted(result.rows, key=repr)
+
+
+class TestDmlMatchesScanOracle:
+    @given(table_rows, statements)
+    @settings(max_examples=150, deadline=None)
+    def test_rowcounts_and_contents_identical(self, rows, sqls):
+        indexed, scanned = dml_pair(rows)
+        for position, sql in enumerate(sqls):
+            # distinct powers of two: no two rows can ever be moved onto
+            # the same key, so the keyless oracle sees no different errors
+            sql = sql.format(shift=1000 * 2 ** position)
+            assert "SeqScan(t)" in scanned.explain(sql)
+            assert outcome(indexed, sql) == outcome(scanned, sql)
+            assert sorted(indexed.table("t").rows(), key=repr) == sorted(
+                scanned.table("t").rows(), key=repr
+            )
+        # the indexes followed every statement
+        table = indexed.table("t")
+        for slot, row in table.scan():
+            assert table.lookup_primary_key((row[0],)) == slot
+        assert len(table.primary_key_index) == len(table)
+
+    @given(table_rows, predicates)
+    @settings(max_examples=100, deadline=None)
+    def test_select_identical(self, rows, predicate):
+        indexed, scanned = dml_pair(rows)
+        sql = f"SELECT k, h, o FROM t WHERE {predicate}"
+        assert outcome(indexed, sql) == outcome(scanned, sql)
+
+    literal = st.sampled_from(["5", "'5'", "5.5", "9", "'7'", "'bob'", "NULL"])
+    above = st.builds("name {} {}".format, st.sampled_from([">", ">="]), literal)
+    below = st.builds("name {} {}".format, st.sampled_from(["<", "<="]), literal)
+
+    @given(
+        st.lists(
+            st.sampled_from(["3", "5", "7", "10", "40", "5.5", "bob", ""]),
+            unique=True,
+        ),
+        # predicates the access path answers whole: what it leaves to a
+        # filter is not evaluated on the rows it spares, errors included
+        st.one_of(
+            st.builds("name = {}".format, literal),
+            above,
+            below,
+            st.builds("{} AND {}".format, above, below),
+        ),
+        st.sampled_from(["SELECT name FROM s", "DELETE FROM s", "UPDATE s SET v = 1"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_string_key_identical(self, names, predicate, statement):
+        """A VARCHAR key met by numbers: stored strings are read as
+        numbers row by row, which no index order can stand for."""
+        indexed, scanned = Database(), Database()
+        indexed.execute("CREATE TABLE s (name VARCHAR PRIMARY KEY, v INTEGER)")
+        scanned.execute("CREATE TABLE s (name VARCHAR, v INTEGER)")
+        for database in (indexed, scanned):
+            database.load_rows("s", [(name, 0) for name in names])
+        sql = f"{statement} WHERE {predicate}"
+        assert "SeqScan(s)" not in indexed.explain(sql)
+        assert outcome(indexed, sql) == outcome(scanned, sql)
+        assert sorted(indexed.table("s").rows()) == sorted(scanned.table("s").rows())

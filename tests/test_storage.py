@@ -231,6 +231,26 @@ class TestHashIndex:
         with pytest.raises(ConstraintViolation):
             table.insert((2, "a", 2.0))
 
+    def test_unique_violation_leaves_no_trace(self):
+        """The rejected row is in no index and in no slot."""
+        table = make_table([(1, "a", 1.0)])
+        table.attach_index(HashIndex("uq", table.schema, ["name"], unique=True))
+        with pytest.raises(ConstraintViolation):
+            table.insert((2, "a", 2.0))
+        assert table.row_count == 1
+        assert table.lookup_primary_key((2,)) is None
+        assert [row for _slot, row in table.scan()] == [(1, "a", 1.0)]
+
+    def test_null_keys_are_left_out(self):
+        table = make_table()
+        index = HashIndex("uq", table.schema, ["name"], unique=True)
+        table.attach_index(index)
+        table.insert((1, None, 1.0))
+        table.insert((2, None, 2.0))  # NULL is not equal to NULL
+        assert index.lookup((None,)) == []
+        assert len(index) == 0
+        table.delete(0)
+
     def test_duplicate_index_name_rejected(self):
         table = make_table()
         table.attach_index(HashIndex("i", table.schema, ["name"]))
