@@ -9,8 +9,12 @@ reproduction:
   data-changing statement (DDL and DML) to a text file, one statement
   per line (newlines inside literals are escaped);
 * :func:`replay_log` re-executes a log against a database;
-* :meth:`Database.enable_command_log` wires a log into a database, and
-  recovery is ``Database.recover(snapshot=..., command_log=...)``.
+* :func:`enable_command_log` attaches a log to a database as its
+  ``command_log`` — the seam :meth:`Database.execute_parsed` calls
+  after every successful write, whichever entry point
+  (``execute``, ``execute_script``, ``apply_replicated``, the server)
+  the statement came through — and recovery is
+  ``Database.recover(snapshot=..., command_log=...)``.
 
 Each appended line carries a CRC32 checksum over its escaped payload
 (``crc32-hex TAB payload``), so recovery can distinguish a cleanly
@@ -74,7 +78,7 @@ import warnings
 import zlib
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from ..errors import DurabilityError, RecoveryError
+from ..errors import DatabaseError, DurabilityError, RecoveryError
 from ..observability import tracing as tracing_module
 from ..observability.metrics import recording_registry
 from ..resilience.faults import (
@@ -85,8 +89,7 @@ from ..resilience.faults import (
     check_site,
 )
 from ..resilience.retry import RetryPolicy
-from ..sql.parser import parse_statement
-from .database import WRITE_STATEMENT_TYPES, Database
+from .database import Database
 
 
 def default_fsync_retry() -> RetryPolicy:
@@ -102,27 +105,8 @@ def default_fsync_retry() -> RetryPolicy:
         max_attempts=3,
     )
 
-#: Statement types that must be replayed on recovery. Matching on the
-#: parsed AST (rather than on a leading keyword) classifies statements
-#: with leading comments or unusual whitespace correctly. Shared with
-#: the replica read-only enforcement in :mod:`repro.core.database`.
-_LOGGED_STATEMENT_TYPES = WRITE_STATEMENT_TYPES
-
 _ON_ERROR_POLICIES = ("abort", "skip", "stop")
 _SYNC_POLICIES = ("commit", "batch", "off")
-
-
-def _is_loggable(sql: str) -> bool:
-    """True when ``sql`` parses to a statement that mutates state.
-
-    Statements that fail to parse are not loggable: they cannot have
-    executed successfully, so they can never reach the log.
-    """
-    try:
-        statement = parse_statement(sql)
-    except Exception:
-        return False
-    return isinstance(statement, _LOGGED_STATEMENT_TYPES)
 
 
 def _encode(sql: str) -> str:
@@ -402,6 +386,12 @@ class CommandLog:
         io: Optional[FaultyIO] = None,
         fsync_retry: Optional[RetryPolicy] = None,
     ):
+        if database.command_log is not None:
+            raise DatabaseError(
+                f"database already has a command log attached "
+                f"({database.command_log.path}); detach it before "
+                f"attaching {path}"
+            )
         self.database = database
         self._file = _LogFile(
             path, sync=sync, batch_interval=batch_interval,
@@ -425,12 +415,7 @@ class CommandLog:
             for record in read_records(self.path):
                 self.last_sequence = max(self.last_sequence, record.sequence)
         self._pending: List[str] = []
-        self._original_execute = database.execute
-        self._original_commit = database.commit
-        self._original_rollback = database.rollback
-        database.execute = self._execute  # type: ignore[method-assign]
-        database.commit = self._commit  # type: ignore[method-assign]
-        database.rollback = self._rollback  # type: ignore[method-assign]
+        database.command_log = self
 
     # ------------------------------------------------------------------
 
@@ -504,32 +489,29 @@ class CommandLog:
             "acknowledged and will not survive recovery"
         ) from error
 
-    def _execute(self, sql: str, budget=None, **kwargs):
-        result = self._original_execute(sql, budget=budget, **kwargs)
-        if _is_loggable(sql):
-            if self.database.transactions.in_transaction:
-                self._pending.append(sql)
-            else:
-                self._append([sql])
-        return result
+    def record(self, sql: str) -> None:
+        """A write statement succeeded: make it durable now, or hold it
+        until the explicit transaction it ran in commits."""
+        if self.database.transactions.in_transaction:
+            self._pending.append(sql)
+        else:
+            self._append([sql])
 
-    def _commit(self):
-        self._original_commit()
+    def commit(self) -> None:
+        """The explicit transaction committed: append what it held."""
         # Swap before appending: if the append fails (degraded mode),
         # the next commit must not re-append — or double-apply — these
         # statements.
         pending, self._pending = self._pending, []
         self._append(pending)
 
-    def _rollback(self):
-        self._original_rollback()
+    def rollback(self) -> None:
         self._pending = []
 
     def detach(self) -> None:
-        """Stop logging and restore the database's plain methods."""
-        self.database.execute = self._original_execute  # type: ignore
-        self.database.commit = self._original_commit  # type: ignore
-        self.database.rollback = self._original_rollback  # type: ignore
+        """Stop logging: the database no longer calls this log."""
+        if self.database.command_log is self:
+            self.database.command_log = None
         self._file.close()
 
     def truncate(self) -> None:

@@ -50,7 +50,7 @@ from ..planner.options import PlannerOptions
 from ..resilience.health import HealthMonitor
 from ..planner.rewrite import find_relational_aggregates
 from ..planner.select_planner import PlannedQuery, SelectPlanner
-from ..sql import ast, parse_script, parse_statement
+from ..sql import Parser, ast, parse_statement
 from ..storage.catalog import Catalog
 from ..storage.index import HashIndex, Index, OrderedIndex
 from ..storage.schema import Column, TableSchema
@@ -87,21 +87,37 @@ def statement_is_write(statement: ast.Statement) -> bool:
     """True when a parsed statement mutates durable state.
 
     This is the engine's single read/write classification point: the
-    command log uses it to decide what to record, replicas use it to
-    reject client writes, and the network server uses it to route a
-    statement either to the single-writer scheduler (writes, serialized)
-    or to the calling session thread (reads, concurrent).
+    statement funnel uses it to decide what the command log records,
+    replicas use it to reject client writes, and the network server
+    uses it to route a statement either to the single-writer scheduler
+    (writes, serialized) or to the calling session thread (reads,
+    concurrent).
     """
     return isinstance(statement, WRITE_STATEMENT_TYPES)
 
 
-def sql_is_write(sql: str) -> bool:
-    """Classify raw SQL; statements that fail to parse are not writes
-    (they can never execute, let alone mutate anything)."""
+def _stream_rows(operator, token: Optional[CancellationToken]):
+    """Yield an operator's rows lazily, enforcing ``token`` per pull."""
+    if token is None:
+        for row in operator:
+            yield tuple(row)
+        return
+    iterator = iter(operator)
     try:
-        return statement_is_write(parse_statement(sql))
-    except Exception:
-        return False
+        while True:
+            # the ambient token is scoped to each pull, so interleaved
+            # statements (or other streams) govern themselves correctly
+            with budget_module.activate(token):
+                row = next(iterator, _STREAM_DONE)
+                if row is _STREAM_DONE:
+                    return
+                token.tick_rows()
+            yield tuple(row)
+    finally:
+        # closing the generator early (or an exception escaping a
+        # pull) must never strand the token on the ambient stack,
+        # where it would govern unrelated statements
+        budget_module.deactivate(token)
 
 
 class Database:
@@ -130,6 +146,11 @@ class Database:
         #: set by :func:`~repro.core.snapshot.restore_into` so recovery
         #: replays only the log records past the snapshot.
         self.snapshot_replication: Optional[Dict[str, Any]] = None
+        #: The attached :class:`~repro.core.command_log.CommandLog` (at
+        #: most one, or None): :meth:`execute_parsed` hands it every
+        #: successful write, :meth:`commit` / :meth:`rollback` settle
+        #: what an explicit transaction left pending in it.
+        self.command_log = None
         self._undo_listener = UndoListener(self.transactions)
         #: Bounded log of statements slower than the configured
         #: threshold (off until :meth:`set_slow_query_threshold`).
@@ -214,7 +235,26 @@ class Database:
         given, it overrides ``budget`` (the caller already combined the
         budget levels when it started the token).
         """
-        statement = parse_statement(sql)
+        return self.execute_parsed(parse_statement(sql), sql, budget, token)
+
+    def execute_parsed(
+        self,
+        statement: ast.Statement,
+        sql: str,
+        budget: Optional[QueryBudget] = None,
+        token: Optional[CancellationToken] = None,
+    ) -> ResultSet:
+        """Run one already-parsed statement; ``sql`` is its source text.
+
+        This is the statement lifecycle, owned in one place: the role /
+        health gate and the run (:meth:`_execute_statement`) under the
+        statement's token, then the metrics / span / slow-log record,
+        then — for a successful write — the hand-off to the attached
+        command log (append + fsync, or pending inside an explicit
+        transaction). :meth:`execute`, :meth:`execute_script` and
+        :meth:`apply_replicated` all arrive here, as does the network
+        server with the statement it parsed to route.
+        """
         kind = type(statement).__name__
         started = time.perf_counter()
         try:
@@ -229,6 +269,8 @@ class Database:
             self._record_statement_abort(kind, exc)
             raise
         self._record_statement(sql, kind, started, result)
+        if self.command_log is not None and statement_is_write(statement):
+            self.command_log.record(sql)
         return result
 
     def set_slow_query_threshold(self, threshold_ms: Optional[float]) -> None:
@@ -301,15 +343,10 @@ class Database:
         The ``budget`` (if any) applies to each statement individually,
         matching :meth:`execute` semantics.
         """
-        results: List[ResultSet] = []
-        for statement in parse_script(sql):
-            token = self._start_token(budget)
-            if token is None:
-                results.append(self._execute_statement(statement))
-            else:
-                with budget_module.activate(token):
-                    results.append(self._execute_statement(statement, token))
-        return results
+        return [
+            self.execute_parsed(statement, source, budget)
+            for statement, source in Parser(sql).parse_many()
+        ]
 
     def prepare(self, sql: str) -> "PreparedQuery":
         """Plan a parameterized SELECT once; execute it many times.
@@ -347,27 +384,7 @@ class Database:
         if not isinstance(statement, ast.Select):
             raise PlanningError("stream() only supports SELECT statements")
         planned = self._plan_select(statement)
-        token = self._start_token(budget)
-        if token is None:
-            for row in planned.operator:
-                yield tuple(row)
-            return
-        iterator = iter(planned.operator)
-        try:
-            while True:
-                # the ambient token is scoped to each pull, so interleaved
-                # statements (or other streams) govern themselves correctly
-                with budget_module.activate(token):
-                    row = next(iterator, _STREAM_DONE)
-                    if row is _STREAM_DONE:
-                        return
-                    token.tick_rows()
-                yield tuple(row)
-        finally:
-            # closing the generator early (or an exception escaping a
-            # pull) must never strand the token on the ambient stack,
-            # where it would govern unrelated statements
-            budget_module.deactivate(token)
+        yield from _stream_rows(planned.operator, self._start_token(budget))
 
     def explain(
         self,
@@ -455,9 +472,13 @@ class Database:
 
     def commit(self) -> None:
         self.transactions.commit()
+        if self.command_log is not None:
+            self.command_log.commit()
 
     def rollback(self) -> None:
         self.transactions.rollback()
+        if self.command_log is not None:
+            self.command_log.rollback()
 
     def table(self, name: str) -> Table:
         return self.catalog.table(name)
@@ -1156,19 +1177,6 @@ class PreparedQuery:
         bindings.
         """
         self._bind(values)
-        token = self._database._start_token(budget)
-        if token is None:
-            for row in self._planned.operator:
-                yield tuple(row)
-            return
-        iterator = iter(self._planned.operator)
-        try:
-            while True:
-                with budget_module.activate(token):
-                    row = next(iterator, _STREAM_DONE)
-                    if row is _STREAM_DONE:
-                        return
-                    token.tick_rows()
-                yield tuple(row)
-        finally:
-            budget_module.deactivate(token)
+        yield from _stream_rows(
+            self._planned.operator, self._database._start_token(budget)
+        )

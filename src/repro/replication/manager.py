@@ -31,7 +31,6 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
-from ..core.database import sql_is_write as _is_write
 from ..errors import ReplicationError
 from ..observability.metrics import recording_registry
 from ..resilience.retry import RetryPolicy
@@ -134,12 +133,14 @@ class ReplicationManager:
         it — :class:`~repro.errors.ReplicationError` means *outcome
         unknown*, never *acknowledged then lost*."""
         primary = self.primary
+        head = primary.log.last_sequence
         result = primary.execute(sql, budget=budget)
+        # the log head moves exactly when a write became durable here (a
+        # write inside an open transaction is pending until its commit)
         if (
-            _is_write(sql)
+            primary.log.last_sequence > head
             and self.ack_replicas > 0
             and primary.links
-            and not primary.db.transactions.in_transaction
         ):
             self._await_replication(primary, primary.log.last_sequence)
         return result

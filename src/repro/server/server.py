@@ -31,7 +31,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from ..budget import CancellationToken, QueryBudget
-from ..core.database import Database, sql_is_write
+from ..core.database import Database, statement_is_write
 from ..errors import (
     DatabaseError,
     NotPrimaryError,
@@ -42,6 +42,7 @@ from ..observability import context as observability_context
 from ..observability import events as observability_events
 from ..observability import tracing as observability_tracing
 from ..observability.metrics import get_registry, recording_registry
+from ..sql.parser import parse_statement
 from . import protocol
 from .protocol import ROW_BATCH, error_code_for
 from .scheduler import SingleWriterScheduler
@@ -461,12 +462,21 @@ class Server:
             sql = request.get("sql")
             if not isinstance(sql, str):
                 raise ProtocolError("QUERY requires a string 'sql' field")
-            is_write = sql_is_write(sql)
+            # the one parse: routing, the shard guard and the engine
+            # all work from this statement
+            statement = parse_statement(sql)
+            is_write = statement_is_write(statement)
             if self.shard_info is not None:
-                self._check_shard_ownership(sql)
-            # the (possibly command-log-patched) bound method, so server
-            # writes are logged and shipped exactly like embedded ones
-            runner = lambda: self.db.execute(sql, token=token)  # noqa: E731
+                # rejected before execution, so retrying elsewhere is
+                # safe even for writes (same contract as NOT_PRIMARY);
+                # imported here because repro.sharding imports this
+                # module (the router subclasses Server)
+                from ..sharding.shard_map import check_shard_ownership
+
+                check_shard_ownership(self.db, self.shard_info, statement)
+            runner = lambda: self.db.execute_parsed(  # noqa: E731
+                statement, sql, token=token
+            )
         if session.disconnected:
             raise ShuttingDownError("client disconnected")
         # Adopt the client's trace context: the statement's server-side
@@ -514,20 +524,6 @@ class Server:
                 return self.scheduler.run_read(runner)
         finally:
             session.active_token = None
-
-    def _check_shard_ownership(self, sql: str) -> None:
-        """Reject a statement whose bound partition key belongs to a
-        sibling shard — before execution, so retrying elsewhere is safe
-        even for writes (same contract as NOT_PRIMARY)."""
-        # local import: repro.sharding imports this module (the router
-        # subclasses Server)
-        from ..sharding.shard_map import check_shard_ownership
-        from ..sql.parser import parse_statement
-        try:
-            statement = parse_statement(sql)
-        except DatabaseError:
-            return  # execution will report the parse error itself
-        check_shard_ownership(self.db, self.shard_info, statement)
 
     def _prepared_runner(self, session: Session, request, token):
         handle = request.get("statement")

@@ -71,7 +71,6 @@ from ..errors import (
     ClientConnectionError,
     CrossShardAbortError,
     CrossShardPartialError,
-    ExecutionError,
     PlanningError,
     ProtocolError,
     RemoteError,
@@ -87,7 +86,7 @@ from ..server import protocol
 from ..server.server import Server, Session
 from ..sql import ast
 from ..sql.parser import parse_statement
-from ..sql.render import render_expression, render_literal, render_statement
+from ..sql.render import render_expression, render_statement
 from .shard_map import ShardMap, bound_partition_keys, stable_hash
 
 #: Aggregates the scatter tier knows how to re-aggregate at the router.
@@ -738,25 +737,6 @@ class Router(Server):
         params = request.get("params") or []
         if not isinstance(params, list):
             raise ProtocolError("EXECUTE 'params' must be an array")
-        if statement_is_write(prepared.statement):
-            # A prepared write must flow through the coordinator-first
-            # write pipeline (mirror + fan-out + compensation), not the
-            # read fast path: bind the parameters as literals and run
-            # it exactly like the equivalent plain-SQL write.
-            if len(params) != len(prepared.parameters):
-                raise ExecutionError(
-                    f"prepared query takes {len(prepared.parameters)} "
-                    f"parameter(s), got {len(params)}"
-                )
-            bound_sql = _substitute_parameters(prepared.sql, params)
-            statement = parse_statement(bound_sql)
-            return self.scheduler.execute_write(
-                lambda: self._execute_write(
-                    session, bound_sql, statement, budget_wire
-                ),
-                token=token,
-                session=session.name,
-            )
         shard = None
         if len(params) == len(prepared.parameters):
             for parameter, value in zip(prepared.parameters, params):
@@ -1094,57 +1074,6 @@ class Router(Server):
 # ---------------------------------------------------------------------------
 # scatter merge
 # ---------------------------------------------------------------------------
-
-
-def _substitute_parameters(sql: str, values: List[Any]) -> str:
-    """Replace each ``?`` placeholder in ``sql`` with the rendered
-    literal for the corresponding value.
-
-    The scan is quote- and comment-aware, so a ``?`` inside a string
-    literal or a comment is left alone — this turns a prepared write
-    plus its bound parameters into the exact plain-SQL statement the
-    write pipeline (coordinator mirror + shard fan-out) already
-    handles.
-    """
-    out: List[str] = []
-    remaining = list(values)
-    i, n = 0, len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == "'":
-            j = i + 1
-            while j < n:
-                if sql[j] == "'":
-                    if j + 1 < n and sql[j + 1] == "'":
-                        j += 2
-                        continue
-                    j += 1
-                    break
-                j += 1
-            out.append(sql[i:j])
-            i = j
-        elif sql.startswith("--", i):
-            j = sql.find("\n", i)
-            j = n if j < 0 else j
-            out.append(sql[i:j])
-            i = j
-        elif sql.startswith("/*", i):
-            j = sql.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            out.append(sql[i:j])
-            i = j
-        elif ch == "?":
-            if not remaining:
-                raise ExecutionError(
-                    "prepared statement has more placeholders than "
-                    "bound parameters"
-                )
-            out.append(render_literal(remaining.pop(0)))
-            i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 def _select_expressions(statement: ast.Select):

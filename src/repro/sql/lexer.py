@@ -122,6 +122,10 @@ class Token:
     def column(self) -> int:
         return _position(self._text, self._offset)[1]
 
+    def text_until(self, end: "Token") -> str:
+        """The source text from this token up to (not including) ``end``."""
+        return self._text[self._offset:end._offset].rstrip()
+
     def matches(self, type_: TokenType, value: Optional[str] = None) -> bool:
         if self.type is not type_:
             return False

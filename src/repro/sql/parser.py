@@ -104,10 +104,15 @@ class Parser:
             raise self._error("unexpected trailing input")
         return statement
 
-    def parse_many(self) -> List[ast.Statement]:
+    def parse_many(self) -> List[Tuple[ast.Statement, str]]:
+        """Each statement of a script paired with its own source text
+        (what the engine logs and reports for that statement)."""
         statements = []
         while not self._at_end():
-            statements.append(self._parse_statement())
+            start = self._peek()
+            statement = self._parse_statement()
+            source = start.text_until(self._peek())
+            statements.append((statement, source))
             while self._accept(TokenType.PUNCTUATION, ";"):
                 pass
         return statements
@@ -733,4 +738,4 @@ def parse_statement(text: str) -> ast.Statement:
 
 def parse_script(text: str) -> List[ast.Statement]:
     """Parse a ``;``-separated sequence of statements."""
-    return Parser(text).parse_many()
+    return [statement for statement, _source in Parser(text).parse_many()]

@@ -4,15 +4,28 @@ import warnings
 
 import pytest
 
-from repro import Database, ExecutionError, RecoveryError
+from repro import (
+    Database,
+    ExecutionError,
+    QueryBudget,
+    RecoveryError,
+    ResourceExhaustedError,
+)
 from repro.core.command_log import (
     _decode,
     _encode,
     _format_line,
-    _is_loggable,
     enable_command_log,
     replay_log,
 )
+from repro.core.database import statement_is_write
+from repro.errors import DatabaseError, SqlSyntaxError
+from repro.observability.metrics import (
+    get_registry,
+    metrics_enabled,
+    set_enabled,
+)
+from repro.sql import parse_statement
 
 
 def make_logged_db(tmp_path):
@@ -126,16 +139,27 @@ class TestEncoding:
         assert _decode(encoded) == sql
 
 
+def _logged(sql):
+    return statement_is_write(parse_statement(sql))
+
+
 class TestLoggability:
     def test_matches_on_parsed_statement_not_prefix(self):
         # a leading comment must not hide a data-changing statement
-        assert _is_loggable("-- fix for ticket 42\nINSERT INTO t VALUES (1)")
-        assert _is_loggable("/* batch */ UPDATE t SET a = 1")
+        assert _logged("-- fix for ticket 42\nINSERT INTO t VALUES (1)")
+        assert _logged("/* batch */ UPDATE t SET a = 1")
         # ... and a SELECT mentioning DML keywords must not be logged
-        assert not _is_loggable("SELECT 'INSERT INTO t' FROM t")
-        assert not _is_loggable("SELECT * FROM inserted_rows")
-        # unparseable text can never have committed
-        assert not _is_loggable("INSERT INTO (")
+        assert not _logged("SELECT 'INSERT INTO t' FROM t")
+        assert not _logged("SELECT * FROM inserted_rows")
+
+    def test_unparseable_text_never_reaches_the_log(self, tmp_path):
+        # it fails the one parse, before anything is classified or run
+        with pytest.raises(SqlSyntaxError):
+            _logged("INSERT INTO (")
+        db, log = make_logged_db(tmp_path)
+        with pytest.raises(SqlSyntaxError):
+            db.execute("INSERT INTO (")
+        assert log.path.read_text() == ""
 
     def test_leading_comment_statement_is_logged_and_replayed(self, tmp_path):
         db, log = make_logged_db(tmp_path)
@@ -143,6 +167,123 @@ class TestLoggability:
         db.execute("-- audit note\nINSERT INTO t VALUES (7)")
         recovered = replay_log(str(log.path))
         assert recovered.execute("SELECT a FROM t").scalar() == 7
+
+
+def _logged_statements(log):
+    return [
+        _decode(line.split("\t", 1)[1])
+        for line in log.path.read_text().splitlines()
+    ]
+
+
+class TestScriptsAreLogged:
+    """``execute_script`` goes through the same statement funnel as
+    ``execute``: acknowledged => durable holds for it too."""
+
+    SCRIPT = "INSERT INTO t VALUES (2);\n-- second\nINSERT INTO t VALUES (3);"
+
+    def test_script_writes_replay_in_order(self, tmp_path):
+        db, log = make_logged_db(tmp_path)
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        db.execute_script(self.SCRIPT)
+        db.execute("INSERT INTO t VALUES (4)")
+        assert _logged_statements(log) == [
+            "CREATE TABLE t (a INTEGER)",
+            "INSERT INTO t VALUES (1)",
+            "INSERT INTO t VALUES (2)",
+            "INSERT INTO t VALUES (3)",
+            "INSERT INTO t VALUES (4)",
+        ]
+        recovered = replay_log(str(log.path))
+        assert recovered.execute("SELECT a FROM t").column(0) == [1, 2, 3, 4]
+
+    def test_script_in_transaction_logs_at_commit(self, tmp_path):
+        db, log = make_logged_db(tmp_path)
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.begin()
+        db.execute_script(self.SCRIPT)
+        assert len(_logged_statements(log)) == 1
+        db.commit()
+        recovered = replay_log(str(log.path))
+        assert recovered.execute("SELECT a FROM t").column(0) == [2, 3]
+
+    def test_script_in_transaction_rollback_discards(self, tmp_path):
+        db, log = make_logged_db(tmp_path)
+        db.execute("CREATE TABLE t (a INTEGER)")
+        db.begin()
+        db.execute_script(self.SCRIPT)
+        db.rollback()
+        db.execute("INSERT INTO t VALUES (9)")
+        recovered = replay_log(str(log.path))
+        assert recovered.execute("SELECT a FROM t").column(0) == [9]
+
+    def test_failing_statement_stops_the_script_after_what_committed(
+        self, tmp_path
+    ):
+        db, log = make_logged_db(tmp_path)
+        db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY)")
+        with pytest.raises(ExecutionError):
+            db.execute_script(
+                "INSERT INTO t VALUES (1); INSERT INTO t VALUES (1); "
+                "INSERT INTO t VALUES (2)"
+            )
+        assert _logged_statements(log)[1:] == ["INSERT INTO t VALUES (1)"]
+        recovered = replay_log(str(log.path))
+        assert recovered.execute("SELECT a FROM t").column(0) == [1]
+
+    def test_script_statements_are_recorded_like_any_other(self):
+        was_enabled = metrics_enabled()
+        set_enabled(True)
+        registry = get_registry()
+        registry.reset()
+        try:
+            db = Database()
+            db.set_slow_query_threshold(0.0)  # everything is slow
+            db.execute_script(
+                "CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (1), (2)"
+            )
+            assert registry.value("repro_statements_total", kind="Insert") == 1
+            assert [entry.sql for entry in db.slow_queries.entries()] == [
+                "CREATE TABLE t (a INTEGER)",
+                "INSERT INTO t VALUES (1), (2)",
+            ]
+            with pytest.raises(ResourceExhaustedError):
+                db.execute_script(
+                    "SELECT a FROM t", budget=QueryBudget(max_rows=1)
+                )
+            assert registry.value(
+                "repro_statement_aborts_total",
+                cause="ResourceExhaustedError",
+                kind="Select",
+            ) == 1
+        finally:
+            registry.reset()
+            set_enabled(was_enabled)
+
+
+class TestAttachment:
+    def test_second_log_on_one_database_is_refused(self, tmp_path):
+        db, log = make_logged_db(tmp_path)
+        with pytest.raises(DatabaseError, match="already has a command log"):
+            enable_command_log(db, str(tmp_path / "second.log"))
+        assert not (tmp_path / "second.log").exists()
+        assert db.command_log is log
+
+    def test_detach_then_attach_again(self, tmp_path):
+        """The supervisor's heal path: detach, then a fresh log."""
+        db, log = make_logged_db(tmp_path)
+        db.execute("CREATE TABLE t (a INTEGER)")
+        log.detach()
+        log.detach()  # idempotent
+        fresh = enable_command_log(db, str(log.path))
+        db.execute("INSERT INTO t VALUES (1)")
+        log.detach()  # a stale handle must not detach its successor
+        db.execute("INSERT INTO t VALUES (2)")
+        fresh.detach()
+        db.execute("INSERT INTO t VALUES (3)")
+        recovered = replay_log(str(log.path))
+        assert recovered.execute("SELECT a FROM t").column(0) == [1, 2]
 
 
 class TestChecksums:
@@ -295,9 +436,6 @@ class TestReplayPolicies:
         assert recovered.recovery_report.statements_replayed == 1
 
     def test_logged_db_still_accepts_statement_budget(self, tmp_path):
-        """The command-log wrapper must forward the budget kwarg."""
-        from repro import QueryBudget, ResourceExhaustedError
-
         db, log = make_logged_db(tmp_path)
         db.execute("CREATE TABLE t (a INTEGER)")
         db.execute("INSERT INTO t VALUES (1), (2), (3)")

@@ -164,6 +164,63 @@ class TestReadOnlyReplica:
             server.shutdown(drain=False)
 
 
+class TestStatementsParseOnce:
+    """A statement is parsed once on its way through the server, the
+    shard guard, the engine and the command log."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        from repro.sql.parser import Parser
+
+        texts = []
+        construct = Parser.__init__
+
+        def counting(parser, text):
+            texts.append(text)
+            construct(parser, text)
+
+        monkeypatch.setattr(Parser, "__init__", counting)
+        return texts
+
+    def test_wire_statements_on_a_logged_server(self, tmp_path, parses):
+        db = Database()
+        log = CommandLog(db, str(tmp_path / "server.log"))
+        server = Server(db).start()
+        try:
+            with Client(*server.address) as client:
+                client.execute("CREATE TABLE T (k INTEGER PRIMARY KEY)")
+                del parses[:]
+                client.execute("INSERT INTO T VALUES (1)")
+                assert parses == ["INSERT INTO T VALUES (1)"]
+                del parses[:]
+                assert client.execute("SELECT k FROM T").rows == [(1,)]
+                assert parses == ["SELECT k FROM T"]
+        finally:
+            server.shutdown(drain=False, timeout=10)
+            log.detach()
+        assert replay_log(str(log.path)).table("T").row_count == 1
+
+    def test_in_process_execute_with_a_log(self, tmp_path, parses):
+        db = Database()
+        log = CommandLog(db, str(tmp_path / "c.log"))
+        db.execute("CREATE TABLE T (k INTEGER)")
+        assert parses == ["CREATE TABLE T (k INTEGER)"]
+        log.detach()
+
+    def test_shard_server_query(self, parses):
+        shard_info = {"index": 0, "count": 2, "slots": 64, "version": 1}
+        db = Database()
+        db.execute("CREATE TABLE KV (k INTEGER PRIMARY KEY) PARTITION BY k")
+        server = Server(db, shard_info=shard_info).start()
+        try:
+            with Client(*server.address, reconnect=False) as client:
+                del parses[:]
+                client.execute("SELECT k FROM KV")
+                assert parses == ["SELECT k FROM KV"]
+        finally:
+            server.shutdown(drain=False, timeout=10)
+
+
 class TestConcurrentClients:
     CLIENTS = 8
     WRITES_PER_CLIENT = 25

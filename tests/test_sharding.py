@@ -26,7 +26,6 @@ from repro.sharding import (
     start_sharded,
     stop_sharded,
 )
-from repro.sharding.router import _substitute_parameters
 from repro.sql.parser import parse_statement
 from repro.sql.render import render_statement
 
@@ -192,23 +191,6 @@ class TestBoundPartitionKeys:
         assert self._keys("SELECT * FROM T WHERE v = 5") is None
         assert self._keys("DELETE FROM T") is None
         assert self._keys("SELECT * FROM T, U WHERE T.k = 1") is None
-
-
-class TestSubstituteParameters:
-    def test_literals_by_type(self):
-        assert _substitute_parameters(
-            "INSERT INTO T VALUES (?, ?, ?, ?)", [1, "x", 2.5, None]
-        ) == "INSERT INTO T VALUES (1, 'x', 2.5, NULL)"
-
-    def test_quotes_and_comments_are_left_alone(self):
-        assert _substitute_parameters(
-            "SELECT '?' , ? -- ? trailing\n FROM T /* ? */", [7]
-        ) == "SELECT '?' , 7 -- ? trailing\n FROM T /* ? */"
-
-    def test_escaped_quote_inside_string(self):
-        assert _substitute_parameters(
-            "SELECT 'it''s ?', ? FROM T", ["a'b"]
-        ) == "SELECT 'it''s ?', 'a''b' FROM T"
 
 
 # ---------------------------------------------------------------------------

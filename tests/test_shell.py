@@ -5,6 +5,7 @@ import io
 from repro import Database, QueryBudget
 from repro.shell import Shell, format_result
 from repro.core.result import ResultSet
+from repro.resilience.supervisor import Supervisor
 
 
 def run_lines(lines, database=None):
@@ -138,6 +139,24 @@ class TestDotCommands:
         output, _shell = run_lines([f".run {script}"], database=db)
         assert "ok (2 statement(s))" in output
         assert db.execute("SELECT a FROM t").scalar() == 7
+
+    def test_run_script_is_durable_under_a_supervisor(self, tmp_path):
+        script = tmp_path / "setup.sql"
+        script.write_text(
+            "CREATE TABLE t (a INTEGER); INSERT INTO t VALUES (7);"
+        )
+        supervisor = Supervisor(str(tmp_path / "data"))
+        output, _shell = run_lines(
+            [f".run {script}"], database=supervisor.start()
+        )
+        assert "ok (2 statement(s))" in output
+        supervisor.stop()
+        restarted = Supervisor(str(tmp_path / "data"))
+        try:
+            recovered = restarted.start()
+            assert recovered.execute("SELECT a FROM t").scalar() == 7
+        finally:
+            restarted.stop()
 
     def test_run_missing_file(self):
         output, _shell = run_lines([".run /does/not/exist.sql"])
