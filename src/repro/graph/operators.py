@@ -120,32 +120,43 @@ class EdgeScanOp(Operator):
         return f"EdgeScan({self.view.name})"
 
 
-def run_traversal(
+def _path_rows(
     view: GraphView,
+    slot: int,
+    width: int,
     mode: str,
     start_ids: Optional[Iterable[Any]],
     spec: TraversalSpec,
-    weight_of: Optional[Callable] = None,
-    max_paths_per_vertex: int = 1,
-    stats: Optional[TraversalStats] = None,
-):
-    """Dispatch to the physical scan selected by the optimizer."""
-    if mode == "DFS":
-        return dfs_paths(view, start_ids, spec, stats)
-    if mode == "BFS":
-        return bfs_paths(view, start_ids, spec, stats)
+    weight_of: Optional[Callable],
+    max_paths_per_vertex: int,
+    span_key: Any,
+    label: str,
+) -> Iterator[Row]:
+    """Run the physical scan the optimizer selected, one combined row per
+    path. With a tracer active the scan's counters fold into
+    ``span_key``'s span — also when the consumer stops early (LIMIT) or a
+    budget aborts the scan."""
+    tracer = current_tracer()
+    stats = TraversalStats() if tracer is not None else None
     if mode == "SP":
         if weight_of is None:
             raise PlanningError("SPScan requires a weight attribute")
-        return shortest_paths(
-            view,
-            start_ids,
-            spec,
-            weight_of,
-            max_paths_per_vertex=max_paths_per_vertex,
-            stats=stats,
+        paths = shortest_paths(
+            view, start_ids, spec, weight_of, max_paths_per_vertex, stats
         )
-    raise PlanningError(f"unknown traversal mode: {mode}")
+    elif mode in ("DFS", "BFS"):
+        scan = dfs_paths if mode == "DFS" else bfs_paths
+        paths = scan(view, start_ids, spec, stats)
+    else:
+        raise PlanningError(f"unknown traversal mode: {mode}")
+    try:
+        for path in paths:
+            row: Row = [None] * width
+            row[slot] = path
+            yield row
+    finally:
+        if tracer is not None:
+            tracer.record_traversal(span_key, label, mode, stats)
 
 
 class PathScanSourceOp(Operator):
@@ -174,32 +185,20 @@ class PathScanSourceOp(Operator):
         self.start_ids = start_ids
         self.weight_of = weight_of
         self.max_paths_per_vertex = max_paths_per_vertex
-        self.last_stats: Optional[TraversalStats] = None
 
     def _rows(self) -> Iterator[Row]:
-        slot, width = self.slot, self.width
-        stats = TraversalStats()
-        self.last_stats = stats
-        tracer = current_tracer()
-        paths = run_traversal(
+        return _path_rows(
             self.view,
+            self.slot,
+            self.width,
             self.mode,
             self.start_ids,
             self.spec_factory(),
             self.weight_of,
             self.max_paths_per_vertex,
-            stats,
+            self,
+            self.describe(),
         )
-        try:
-            for path in paths:
-                row: Row = [None] * width
-                row[slot] = path
-                yield row
-        finally:
-            # fold the counters into this node's span even when the
-            # consumer stops early (LIMIT) or a budget aborts the scan
-            if tracer is not None:
-                tracer.record_traversal(self, self.describe(), self.mode, stats)
 
     def describe(self) -> str:
         return f"PathScan({self.view.name}, {self.mode})"
@@ -220,7 +219,9 @@ def make_path_probe_factory(
     Per outer row, ``start_ids_of`` evaluates the bound start-vertex
     expression(s) and ``spec_factory`` may bind a target vertex — the
     optimizer wires these from join predicates like
-    ``PS.StartVertex.Id = U.uId`` (Listing 2).
+    ``PS.StartVertex.Id = U.uId`` (Listing 2). One traversal runs per
+    outer row; the tracer aggregates their counters under this factory,
+    and the annotator folds them into the enclosing ProbeJoin plan node.
     """
 
     probe_label = f"PathScanProbe({view.name}, {mode})"
@@ -228,29 +229,18 @@ def make_path_probe_factory(
     def factory(outer_row: Row) -> Iterator[Row]:
         start_ids = start_ids_of(outer_row)
         if start_ids is not None and any(s is None for s in start_ids):
-            return
-        spec = spec_factory(outer_row)
-        tracer = current_tracer()
-        stats = TraversalStats() if tracer is not None else None
-        paths = run_traversal(
+            return iter(())
+        return _path_rows(
             view,
+            slot,
+            width,
             mode,
             start_ids,
-            spec,
+            spec_factory(outer_row),
             weight_of,
             max_paths_per_vertex,
-            stats,
+            factory,
+            probe_label,
         )
-        try:
-            for path in paths:
-                row: Row = [None] * width
-                row[slot] = path
-                yield row
-        finally:
-            # one traversal per outer row: the tracer aggregates the
-            # per-probe counters under this factory, and the annotator
-            # folds them into the enclosing ProbeJoin plan node
-            if tracer is not None:
-                tracer.record_traversal(factory, probe_label, mode, stats)
 
     return factory

@@ -1,24 +1,28 @@
 """Physical path-scan algorithms: DFScan, BFScan, SPScan (Sections 5–6).
 
-All three are *lazy* generators following the iterator model, so parent
+All scans are *lazy* generators following the iterator model, so parent
 operators (e.g. ``LIMIT 1`` reachability queries, Listing 3) pull exactly
 as many paths as they need. Paths are always **simple** — a vertex
-appears at most once per path.
+appears at most once per path, except that a cycle may close back onto
+its start vertex.
 
-Filter pushdown (Section 6.2) happens through a :class:`TraversalSpec`:
-positional edge/vertex predicates, inferred length bounds (Section 6.1),
-and monotone aggregate bounds are all checked *during* traversal so
-rejected paths never leave the scan.
+Filter pushdown (Section 6.2) happens through a :class:`TraversalSpec`,
+and every scan honours all of it: positional edge/vertex predicates,
+inferred length bounds (Section 6.1) and monotone aggregate bounds prune
+*during* the walk, and each candidate leaves a scan only through the one
+emit gate, :meth:`TraversalSpec.admit`, so rejected paths never leave
+the scan.
 
-Two exploration disciplines are provided, matching the two query classes
-in the paper's evaluation:
+Four loops, one per exploration discipline:
 
-* **enumeration** (default): every simple path satisfying the spec is
-  produced — required for pattern queries such as triangle counting;
-* **global visited-once** (``unique_vertices=True``): each vertex is
-  expanded at most once for the whole traversal, producing one (shortest
-  in hops, for BFS) path per reached vertex — the discipline reachability
-  queries need, linear in the graph size.
+* **DFScan enumeration** (:func:`dfs_paths`) and **BFScan enumeration**
+  (:func:`bfs_paths`): every simple path satisfying the spec, as pattern
+  queries such as triangle counting need;
+* **visited-once** (``unique_vertices=True``, either entry point): each
+  vertex is expanded at most once for the whole traversal, breadth-first,
+  producing the hop-minimal path per reached vertex — the discipline
+  reachability queries need, linear in the graph size;
+* **SPScan** (:func:`shortest_paths`): paths in non-decreasing weight.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections import deque
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..budget import current_token
@@ -86,6 +91,11 @@ class SumBound:
         self.attribute_of = attribute_of
         self.op = op
         self.bound = bound
+
+    def increment(self, edge: Edge) -> float:
+        """The edge's contribution to the sum (``NULL`` adds nothing)."""
+        value = self.attribute_of(edge)
+        return 0.0 if value is None else float(value)
 
     def violated_finally(self, total: float) -> bool:
         op, bound = self.op, self.bound
@@ -158,8 +168,20 @@ class TraversalSpec:
     def length_could_grow_to(self, current_length: int) -> bool:
         return self.max_length is None or current_length < self.max_length
 
-    def emit_ok(self, path: Path, sums: Tuple[float, ...]) -> bool:
-        """Final gate before a path leaves the scan."""
+    def admit(
+        self,
+        path: Path,
+        sums: Optional[Tuple[float, ...]],
+        stats: "TraversalStats",
+        token: Any,
+    ) -> bool:
+        """The one emit gate: a path leaves a scan only when admitted here.
+
+        Checks every element of the spec exactly (the loops only prune
+        with it), then counts the path. ``sums`` are the running
+        ``sum_bounds`` totals, or ``None`` for a scan that does not carry
+        them (visited-once keeps parent pointers only).
+        """
         if path.length < self.min_length:
             return False
         if self.max_length is not None and path.length > self.max_length:
@@ -170,11 +192,22 @@ class TraversalSpec:
         if self.target_vertex_id is not None:
             if path.end_vertex_id != self.target_vertex_id:
                 return False
-        for bound, total in zip(self.sum_bounds, sums):
-            if bound.violated_finally(total):
-                return False
+        if self.target_is_start and path.end_vertex_id != path.start_vertex_id:
+            return False
+        if self.sum_bounds:
+            if sums is None:
+                sums = tuple(
+                    sum(bound.increment(edge) for edge in path.edges)
+                    for bound in self.sum_bounds
+                )
+            for bound, total in zip(self.sum_bounds, sums):
+                if bound.violated_finally(total):
+                    return False
         if self.path_predicate is not None and not self.path_predicate(path):
             return False
+        stats.paths_emitted += 1
+        if token is not None:
+            token.tick_path()
         return True
 
 
@@ -206,12 +239,6 @@ class TraversalStats:
         )
 
 
-def _next_vertex_id(view: GraphView, current_id: Any, edge: Edge) -> Any:
-    if view.directed:
-        return edge.to_id
-    return edge.other_endpoint(current_id)
-
-
 def _start_vertices(
     view: GraphView, start_ids: Optional[Iterable[Any]]
 ) -> Iterator[Vertex]:
@@ -225,9 +252,25 @@ def _start_vertices(
             yield vertex
 
 
-# ---------------------------------------------------------------------------
-# DFScan
-# ---------------------------------------------------------------------------
+def _extend_sums(
+    sum_bounds: List[SumBound],
+    sums: Tuple[float, ...],
+    edge: Edge,
+    non_negative: bool,
+) -> Tuple[Optional[Tuple[float, ...]], bool]:
+    """Running ``sum_bounds`` totals after ``edge``, and whether every
+    increment so far was non-negative; the totals are ``None`` when a
+    monotone bound proves that no extension can qualify."""
+    new_sums = list(sums)
+    prune = False
+    for i, bound in enumerate(sum_bounds):
+        increment = bound.increment(edge)
+        if increment < 0:
+            non_negative = False
+        new_sums[i] += increment
+        if bound.prunable_now(new_sums[i], non_negative):
+            prune = True
+    return (None if prune else tuple(new_sums)), non_negative
 
 
 def dfs_paths(
@@ -236,13 +279,48 @@ def dfs_paths(
     spec: TraversalSpec,
     stats: Optional[TraversalStats] = None,
 ) -> Iterator[Path]:
-    """Depth-first path scan. Stack holds one edge iterator per level,
-    so memory is O(F * L) as analysed in Section 6.3."""
+    """Depth-first path scan (DFScan). Stack holds one edge iterator per
+    level, so memory is O(F * L) as analysed in Section 6.3."""
+    return _scan(_dfs, view, start_ids, spec, stats)
+
+
+def bfs_paths(
+    view: GraphView,
+    start_ids: Optional[Iterable[Any]],
+    spec: TraversalSpec,
+    stats: Optional[TraversalStats] = None,
+) -> Iterator[Path]:
+    """Breadth-first path scan (BFScan). The queue can hold O(F^L)
+    partial paths (Section 6.3), which the memory ablation measures via
+    ``stats``."""
+    return _scan(_bfs, view, start_ids, spec, stats)
+
+
+def _scan(enumerate_paths, view, start_ids, spec, stats) -> Iterator[Path]:
+    """The one point where ``unique_vertices`` selects the visited-once
+    discipline, whichever enumeration the caller named."""
     if stats is None:
         stats = TraversalStats()
     if spec.unique_vertices:
-        yield from _dfs_global(view, start_ids, spec, stats)
-        return
+        return _visited_once(view, start_ids, spec, stats)
+    return enumerate_paths(view, start_ids, spec, stats)
+
+
+# ---------------------------------------------------------------------------
+# DFScan
+# ---------------------------------------------------------------------------
+
+
+def _dfs(
+    view: GraphView,
+    start_ids: Optional[Iterable[Any]],
+    spec: TraversalSpec,
+    stats: TraversalStats,
+) -> Iterator[Path]:
+    # One flat iterator-stack loop with the per-edge work inlined: this is
+    # the hottest loop in the engine (triangles, 2-hop neighbourhoods), and
+    # moving the per-edge step into a helper shared with the other scans
+    # cost +22 % on the graph_query triangle query.
     topology = view.topology
     vertices_map = topology.vertices
     edges_map = topology.edges
@@ -337,21 +415,11 @@ def dfs_paths(
                 ):
                     continue
                 if n_bounds:
-                    new_sums_list = list(sums_stack[-1])
-                    prune = False
-                    for i, bound in enumerate(sum_bounds):
-                        increment = bound.attribute_of(edge)
-                        increment = (
-                            0.0 if increment is None else float(increment)
-                        )
-                        if increment < 0:
-                            non_negative = False
-                        new_sums_list[i] += increment
-                        if bound.prunable_now(new_sums_list[i], non_negative):
-                            prune = True
-                    if prune:
+                    new_sums, non_negative = _extend_sums(
+                        sum_bounds, sums_stack[-1], edge, non_negative
+                    )
+                    if new_sums is None:
                         continue
-                    new_sums: Tuple[float, ...] = tuple(new_sums_list)
                 else:
                     new_sums = ()
                 if closes_cycle:
@@ -362,10 +430,7 @@ def dfs_paths(
                         candidate = Path(
                             path_vertices + [next_vertex], path_edges + [edge]
                         )
-                        if spec.emit_ok(candidate, new_sums):
-                            stats.paths_emitted += 1
-                            if token is not None:
-                                token.tick_path()
+                        if spec.admit(candidate, new_sums, stats, token):
                             yield candidate
                     continue
                 path_edges.append(edge)
@@ -380,10 +445,7 @@ def dfs_paths(
                     target is None or next_id == target
                 ):
                     candidate = Path(path_vertices, path_edges)
-                    if spec.emit_ok(candidate, new_sums):
-                        stats.paths_emitted += 1
-                        if token is not None:
-                            token.tick_path()
+                    if spec.admit(candidate, new_sums, stats, token):
                         yield candidate
                 if max_length is None or depth < max_length:
                     iterators.append(iter(next_vertex.out_edges))
@@ -399,12 +461,108 @@ def dfs_paths(
         stats.note_frontier(peak)
 
 
+# ---------------------------------------------------------------------------
+# BFScan
+# ---------------------------------------------------------------------------
+
+
+def _bfs(
+    view: GraphView,
+    start_ids: Optional[Iterable[Any]],
+    spec: TraversalSpec,
+    stats: TraversalStats,
+) -> Iterator[Path]:
+    topology = view.topology
+    vertices_map = topology.vertices
+    edges_map = topology.edges
+    directed = view.directed
+    sum_bounds = spec.sum_bounds
+    target_is_start = spec.target_is_start
+    static_target = spec.target_vertex_id
+    # entries: (vertices, edges, running sums, all increments non-negative)
+    queue: deque = deque()
+    token = current_token()
+    for start in _start_vertices(view, start_ids):
+        if spec.vertex_allowed(0, start):
+            queue.append(((start,), (), (0.0,) * len(sum_bounds), True))
+    while queue:
+        stats.note_frontier(len(queue))
+        vertices, edges, sums, non_negative = queue.popleft()
+        stats.vertices_visited += 1
+        if token is not None:
+            token.tick_vertex()
+        start_id = vertices[0].id
+        current = vertices[-1]
+        current_id = current.id
+        position = len(edges)
+        target = start_id if target_is_start else static_target
+        if position >= spec.min_length and (target is None or current_id == target):
+            candidate = Path(vertices, edges)
+            if spec.admit(candidate, sums, stats, token):
+                yield candidate
+        if not spec.length_could_grow_to(position):
+            continue
+        on_path = {v.id for v in vertices}
+        for edge_id in current.out_edges:
+            edge = edges_map[edge_id]
+            stats.edges_examined += 1
+            if token is not None:
+                token.tick_edge()
+            if not spec.edge_allowed(position, edge):
+                continue
+            if directed:
+                next_id = edge.to_id
+            else:
+                next_id = edge.to_id if edge.from_id == current_id else edge.from_id
+            closes_cycle = (
+                next_id == start_id
+                and position >= 1
+                and all(e.id != edge_id for e in edges)
+            )
+            if next_id in on_path and not closes_cycle:
+                continue
+            next_vertex = vertices_map.get(next_id)
+            if next_vertex is None:
+                continue
+            if not spec.vertex_allowed(position + 1, next_vertex):
+                continue
+            new_sums, new_non_negative = sums, non_negative
+            if sum_bounds:
+                new_sums, new_non_negative = _extend_sums(
+                    sum_bounds, sums, edge, non_negative
+                )
+                if new_sums is None:
+                    continue
+            if closes_cycle:
+                # emit the closing cycle directly; cycles never extend
+                if position + 1 >= spec.min_length and (
+                    target is None or next_id == target
+                ):
+                    candidate = Path(vertices + (next_vertex,), edges + (edge,))
+                    if spec.admit(candidate, new_sums, stats, token):
+                        yield candidate
+                continue
+            queue.append(
+                (
+                    vertices + (next_vertex,),
+                    edges + (edge,),
+                    new_sums,
+                    new_non_negative,
+                )
+            )
+
+
+# ---------------------------------------------------------------------------
+# visited-once
+# ---------------------------------------------------------------------------
+
+
 def _reconstruct_path(
     vertices_map: Dict[Any, Vertex],
     parents: Dict[Any, Optional[Tuple[Any, Edge]]],
     tail_id: Any,
 ) -> Path:
-    """Rebuild a path from per-vertex parent pointers (global modes)."""
+    """Rebuild a path from per-vertex parent pointers."""
     vertex_chain: List[Vertex] = []
     edge_chain: List[Edge] = []
     current = tail_id
@@ -421,194 +579,7 @@ def _reconstruct_path(
     return Path(vertex_chain, edge_chain)
 
 
-def _dfs_global(
-    view: GraphView,
-    start_ids: Optional[Iterable[Any]],
-    spec: TraversalSpec,
-    stats: TraversalStats,
-) -> Iterator[Path]:
-    """DFS with a global visited set: one path per reached vertex.
-
-    Uses parent pointers so paths are materialized only when emitted —
-    the hot loop allocates nothing proportional to path length.
-    """
-    topology = view.topology
-    vertices_map = topology.vertices
-    edges_map = topology.edges
-    directed = view.directed
-    target = spec.target_vertex_id
-    check_edges = bool(spec.edge_filters)
-    check_vertices = bool(spec.vertex_filters)
-    min_length = spec.min_length
-    visited: Set[Any] = set()
-    token = current_token()
-    for start in _start_vertices(view, start_ids):
-        if start.id in visited:
-            continue
-        if check_vertices and not spec.vertex_allowed(0, start):
-            continue
-        visited.add(start.id)
-        parents: Dict[Any, Optional[Tuple[Any, Edge]]] = {start.id: None}
-        stack: List[Tuple[Vertex, int]] = [(start, 0)]
-        while stack:
-            stats.note_frontier(len(stack))
-            vertex, depth = stack.pop()
-            stats.vertices_visited += 1
-            if token is not None:
-                token.tick_vertex()
-            if depth >= min_length and depth > 0:
-                if target is None or vertex.id == target:
-                    candidate = _reconstruct_path(
-                        vertices_map, parents, vertex.id
-                    )
-                    if spec.emit_ok(candidate, ()):
-                        stats.paths_emitted += 1
-                        if token is not None:
-                            token.tick_path()
-                        yield candidate
-                        if target is not None:
-                            return
-            if not spec.length_could_grow_to(depth):
-                continue
-            vertex_id = vertex.id
-            for edge_id in vertex.out_edges:
-                edge = edges_map[edge_id]
-                stats.edges_examined += 1
-                if token is not None:
-                    token.tick_edge()
-                if check_edges and not spec.edge_allowed(depth, edge):
-                    continue
-                if directed:
-                    next_id = edge.to_id
-                else:
-                    next_id = (
-                        edge.to_id if edge.from_id == vertex_id else edge.from_id
-                    )
-                if next_id in visited:
-                    continue
-                next_vertex = vertices_map.get(next_id)
-                if next_vertex is None:
-                    continue
-                if check_vertices and not spec.vertex_allowed(
-                    depth + 1, next_vertex
-                ):
-                    continue
-                visited.add(next_id)
-                parents[next_id] = (vertex_id, edge)
-                stack.append((next_vertex, depth + 1))
-
-
-# ---------------------------------------------------------------------------
-# BFScan
-# ---------------------------------------------------------------------------
-
-
-def bfs_paths(
-    view: GraphView,
-    start_ids: Optional[Iterable[Any]],
-    spec: TraversalSpec,
-    stats: Optional[TraversalStats] = None,
-) -> Iterator[Path]:
-    """Breadth-first path scan. The queue can hold O(F^L) partial paths
-    (Section 6.3), which the memory ablation measures via ``stats``."""
-    if stats is None:
-        stats = TraversalStats()
-    if spec.unique_vertices:
-        yield from _bfs_global(view, start_ids, spec, stats)
-        return
-    from collections import deque
-
-    topology = view.topology
-    n_bounds = len(spec.sum_bounds)
-    queue: "deque[Tuple[Tuple[Vertex, ...], Tuple[Edge, ...], Tuple[float, ...], bool]]" = (
-        deque()
-    )
-    target_is_start = spec.target_is_start
-    static_target = spec.target_vertex_id
-    token = current_token()
-    for start in _start_vertices(view, start_ids):
-        if spec.vertex_allowed(0, start):
-            queue.append(((start,), (), (0.0,) * n_bounds, True))
-    while queue:
-        stats.note_frontier(len(queue))
-        vertices, edges, sums, non_negative = queue.popleft()
-        stats.vertices_visited += 1
-        if token is not None:
-            token.tick_vertex()
-        target = vertices[0].id if target_is_start else static_target
-        if (
-            edges
-            and len(edges) >= spec.min_length
-            and (target is None or vertices[-1].id == target)
-        ):
-            candidate = Path(vertices, edges)
-            if spec.emit_ok(candidate, sums):
-                stats.paths_emitted += 1
-                if token is not None:
-                    token.tick_path()
-                yield candidate
-        if not spec.length_could_grow_to(len(edges)):
-            continue
-        current = vertices[-1]
-        on_path = {v.id for v in vertices}
-        position = len(edges)
-        for edge in topology.out_edges_of(current.id):
-            stats.edges_examined += 1
-            if token is not None:
-                token.tick_edge()
-            if not spec.edge_allowed(position, edge):
-                continue
-            next_id = _next_vertex_id(view, current.id, edge)
-            closes_cycle = (
-                next_id == vertices[0].id
-                and position >= 1
-                and all(e.id != edge.id for e in edges)
-            )
-            if next_id in on_path and not closes_cycle:
-                continue
-            next_vertex = topology.vertices.get(next_id)
-            if next_vertex is None:
-                continue
-            if not spec.vertex_allowed(position + 1, next_vertex):
-                continue
-            new_non_negative = non_negative
-            new_sums = list(sums)
-            prune = False
-            for i, bound in enumerate(spec.sum_bounds):
-                increment = bound.attribute_of(edge)
-                increment = 0.0 if increment is None else float(increment)
-                if increment < 0:
-                    new_non_negative = False
-                new_sums[i] += increment
-                if bound.prunable_now(new_sums[i], new_non_negative):
-                    prune = True
-            if prune:
-                continue
-            if closes_cycle:
-                # emit the closing cycle directly; cycles never extend
-                if position + 1 >= spec.min_length and (
-                    target is None or next_id == target
-                ):
-                    candidate = Path(
-                        vertices + (next_vertex,), edges + (edge,)
-                    )
-                    if spec.emit_ok(candidate, tuple(new_sums)):
-                        stats.paths_emitted += 1
-                        if token is not None:
-                            token.tick_path()
-                        yield candidate
-                continue
-            queue.append(
-                (
-                    vertices + (next_vertex,),
-                    edges + (edge,),
-                    tuple(new_sums),
-                    new_non_negative,
-                )
-            )
-
-
-def _bfs_global(
+def _visited_once(
     view: GraphView,
     start_ids: Optional[Iterable[Any]],
     spec: TraversalSpec,
@@ -621,8 +592,6 @@ def _bfs_global(
     target is reached when one is known. Parent pointers keep the hot
     loop allocation-free; paths materialize only at emission.
     """
-    from collections import deque
-
     topology = view.topology
     vertices_map = topology.vertices
     edges_map = topology.edges
@@ -649,13 +618,10 @@ def _bfs_global(
         stats.vertices_visited += 1
         if token is not None:
             token.tick_vertex()
-        if depth >= min_length and depth > 0:
+        if depth >= min_length:
             if target is None or vertex.id == target:
                 candidate = _reconstruct_path(vertices_map, parents, vertex.id)
-                if spec.emit_ok(candidate, ()):
-                    stats.paths_emitted += 1
-                    if token is not None:
-                        token.tick_path()
+                if spec.admit(candidate, None, stats, token):
                     yield candidate
                     if target is not None:
                         return
@@ -712,59 +678,89 @@ def shortest_paths(
     ``k`` distinct shortest simple paths per vertex, supporting
     ``SELECT TOP k`` queries.
 
+    Heap entries carry the running ``sum_bounds`` totals, so monotone
+    bounds prune here as in the other scans. Under ``target_is_start`` a
+    closing cycle is a terminal heap entry — emitted in cost order, never
+    extended — and slots are counted per (start, vertex), so the start's
+    zero-length entry leaves its ``k`` cycle slots free and another
+    start's paths cannot use them up.
+
     Edge weights must be non-negative (Dijkstra's precondition); a
     negative weight raises :class:`~repro.errors.ExecutionError`.
     """
     if stats is None:
         stats = TraversalStats()
     topology = view.topology
+    vertices_map = topology.vertices
+    edges_map = topology.edges
+    directed = view.directed
+    sum_bounds = spec.sum_bounds
+    target_is_start = spec.target_is_start
+    static_target = spec.target_vertex_id
     counter = itertools.count()
-    heap: List[Tuple[float, int, Tuple[Vertex, ...], Tuple[Edge, ...]]] = []
+    # entries: (cost, tiebreak, vertices, edges, running sums, non-negative)
+    heap: list = []
     settled: Dict[Any, int] = {}
     token = current_token()
     for start in _start_vertices(view, start_ids):
         if spec.vertex_allowed(0, start):
-            heapq.heappush(heap, (0.0, next(counter), (start,), ()))
+            heapq.heappush(
+                heap,
+                (0.0, next(counter), (start,), (), (0.0,) * len(sum_bounds), True),
+            )
     while heap:
         stats.note_frontier(len(heap))
-        cost, _tiebreak, vertices, edges = heapq.heappop(heap)
+        cost, _tiebreak, vertices, edges, sums, non_negative = heapq.heappop(heap)
         stats.vertices_visited += 1
         if token is not None:
             token.tick_vertex()
         tail = vertices[-1]
-        times_settled = settled.get(tail.id, 0)
-        if times_settled >= max_paths_per_vertex:
-            continue
-        settled[tail.id] = times_settled + 1
-        if edges and len(edges) >= spec.min_length:
+        tail_id = tail.id
+        start_id = vertices[0].id
+        position = len(edges)
+        if position or not target_is_start:
+            slot = (start_id, tail_id) if target_is_start else tail_id
+            times_settled = settled.get(slot, 0)
+            if times_settled >= max_paths_per_vertex:
+                continue
+            settled[slot] = times_settled + 1
+        target = start_id if target_is_start else static_target
+        if position >= spec.min_length and (target is None or tail_id == target):
             candidate = Path(vertices, edges, cost=cost)
-            if spec.emit_ok(candidate, ()):
-                stats.paths_emitted += 1
-                if token is not None:
-                    token.tick_path()
+            if spec.admit(candidate, sums, stats, token):
                 yield candidate
                 if (
-                    spec.target_vertex_id is not None
-                    and settled.get(spec.target_vertex_id, 0)
-                    >= max_paths_per_vertex
+                    static_target is not None
+                    and settled.get(static_target, 0) >= max_paths_per_vertex
                 ):
                     return
-        if not spec.length_could_grow_to(len(edges)):
+        if position and tail_id == start_id:
+            continue  # a closed cycle is terminal
+        if not spec.length_could_grow_to(position):
             continue
         on_path = {v.id for v in vertices}
-        position = len(edges)
-        for edge in topology.out_edges_of(tail.id):
+        for edge_id in tail.out_edges:
+            edge = edges_map[edge_id]
             stats.edges_examined += 1
             if token is not None:
                 token.tick_edge()
             if not spec.edge_allowed(position, edge):
                 continue
-            next_id = _next_vertex_id(view, tail.id, edge)
-            if next_id in on_path:
+            if directed:
+                next_id = edge.to_id
+            else:
+                next_id = edge.to_id if edge.from_id == tail_id else edge.from_id
+            if next_id in on_path and not (
+                target_is_start
+                and next_id == start_id
+                and position >= 1
+                and all(e.id != edge_id for e in edges)
+            ):
                 continue
-            if settled.get(next_id, 0) >= max_paths_per_vertex:
+            slot = (start_id, next_id) if target_is_start else next_id
+            if settled.get(slot, 0) >= max_paths_per_vertex:
                 continue
-            next_vertex = topology.vertices.get(next_id)
+            next_vertex = vertices_map.get(next_id)
             if next_vertex is None:
                 continue
             if not spec.vertex_allowed(position + 1, next_vertex):
@@ -776,6 +772,13 @@ def shortest_paths(
                     "SPScan requires non-negative edge weights "
                     f"(edge {edge.id!r} has weight {weight})"
                 )
+            new_sums, new_non_negative = sums, non_negative
+            if sum_bounds:
+                new_sums, new_non_negative = _extend_sums(
+                    sum_bounds, sums, edge, non_negative
+                )
+                if new_sums is None:
+                    continue
             heapq.heappush(
                 heap,
                 (
@@ -783,6 +786,8 @@ def shortest_paths(
                     next(counter),
                     vertices + (next_vertex,),
                     edges + (edge,),
+                    new_sums,
+                    new_non_negative,
                 ),
             )
 
@@ -801,8 +806,8 @@ def choose_traversal(
 
     A DFS stack holds ~``F * L`` entries while a BFS queue holds ~``F^L``,
     so BFS is selected exactly when ``F^L < F * L`` — evaluated in log
-    space to avoid overflow. Without an inferred length the configured
-    default operator is used, as in the paper.
+    space to avoid overflow. Without an inferred length the default
+    operator is used, as in the paper.
     """
     if inferred_length is None or inferred_length <= 0:
         return default

@@ -16,11 +16,6 @@ class PlannerOptions:
             Filter operator above the PathScan.
         infer_path_length: apply Section 6.1 (derive min/max path length
             from predicates and positional references).
-        default_traversal: physical operator used when no hint is given
-            and no length can be inferred ('DFS' or 'BFS').
-        reachability_shortcut: allow the global visited-once BFS
-            discipline for existence-style queries (bound end vertex +
-            ``LIMIT 1`` + position-independent filters).
         default_max_path_length: safety cap applied when a PATHS query
             has no inferable maximum length (``None`` = unbounded, as in
             the paper).
@@ -38,16 +33,12 @@ class PlannerOptions:
         self,
         push_path_filters: bool = True,
         infer_path_length: bool = True,
-        default_traversal: str = "DFS",
-        reachability_shortcut: bool = True,
         default_max_path_length: Optional[int] = None,
         reorder_joins: bool = True,
         budget: Optional[QueryBudget] = None,
     ):
         self.push_path_filters = push_path_filters
         self.infer_path_length = infer_path_length
-        self.default_traversal = default_traversal.upper()
-        self.reachability_shortcut = reachability_shortcut
         self.default_max_path_length = default_max_path_length
         self.reorder_joins = reorder_joins
         self.budget = budget
@@ -56,8 +47,6 @@ class PlannerOptions:
         values = {
             "push_path_filters": self.push_path_filters,
             "infer_path_length": self.infer_path_length,
-            "default_traversal": self.default_traversal,
-            "reachability_shortcut": self.reachability_shortcut,
             "default_max_path_length": self.default_max_path_length,
             "reorder_joins": self.reorder_joins,
             "budget": self.budget,
@@ -69,8 +58,6 @@ class PlannerOptions:
         return (
             f"PlannerOptions(push={self.push_path_filters}, "
             f"infer={self.infer_path_length}, "
-            f"default={self.default_traversal!r}, "
-            f"shortcut={self.reachability_shortcut}, "
             f"max_len={self.default_max_path_length}, "
             f"budget={self.budget!r})"
         )

@@ -980,13 +980,14 @@ class SelectPlanner:
                 per_vertex = 64 if has_target else 1
             return "SP", False, weight_of, per_vertex
 
-        # reachability shortcut: existence query over a filtered subgraph
+        # reachability shortcut: existence query over a filtered subgraph,
+        # answered by the visited-once BFS (HINT(DFS) opts out)
         shortcut_allowed = (
-            self.options.reachability_shortcut
-            and select.limit == 1
+            select.limit == 1
             and has_target
             and plan.filters_position_independent
             and not plan.sum_bounds
+            and not plan.cycle_constraint
             and residual_predicate is None
             and not plan.join_residual_conjuncts
             and bounds.minimum <= 1
@@ -998,9 +999,7 @@ class SelectPlanner:
         if hint is not None:
             return hint.kind, False, None, 1
 
-        mode = choose_traversal(
-            view.average_fan_out(), bounds.maximum, self.options.default_traversal
-        )
+        mode = choose_traversal(view.average_fan_out(), bounds.maximum)
         return mode, False, None, 1
 
     # ------------------------------------------------------------------

@@ -301,6 +301,62 @@ class TestShortestPathQueries:
             )
 
 
+@pytest.fixture
+def looped():
+    """1 -> 2 -> 3 -> 1 (weight 1 each) plus 1 -> 4 -> 3 (weight 5 each)."""
+    db = Database()
+    db.execute("CREATE TABLE V (id INTEGER PRIMARY KEY)")
+    db.execute(
+        "CREATE TABLE E (id INTEGER PRIMARY KEY, s INTEGER, d INTEGER, w FLOAT)"
+    )
+    db.execute("INSERT INTO V VALUES (1), (2), (3), (4)")
+    db.execute(
+        "INSERT INTO E VALUES (1, 1, 2, 1.0), (2, 2, 3, 1.0), (3, 3, 1, 1.0), "
+        "(4, 1, 4, 5.0), (5, 4, 3, 5.0)"
+    )
+    db.execute(
+        "CREATE DIRECTED GRAPH VIEW G VERTEXES(ID = id) FROM V "
+        "EDGES(ID = id, FROM = s, TO = d, w = w) FROM E"
+    )
+    return db
+
+
+class TestShortestPathHonoursSpec:
+    """SPScan applies sum bounds and the cycle pattern pushed into it, as
+    DFScan and BFScan do (it used to drop both)."""
+
+    def test_lower_sum_bound(self, looped):
+        result = looped.execute(
+            "SELECT PS.PathString, SUM(PS.Edges.w) FROM G.Paths PS "
+            "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 1 "
+            "AND SUM(PS.Edges.w) > 3"
+        )
+        assert result.rows == [("1->4", 5.0)]
+
+    def test_upper_sum_bound(self, looped):
+        result = looped.execute(
+            "SELECT PS.PathString, SUM(PS.Edges.w) FROM G.Paths PS "
+            "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 1 "
+            "AND SUM(PS.Edges.w) < 2"
+        )
+        assert result.rows == [("1->2", 1.0)]
+
+    def test_cheapest_cycle(self, looped):
+        result = looped.execute(
+            "SELECT PS.PathString FROM G.Paths PS HINT(SHORTESTPATH(w)) "
+            "WHERE PS.StartVertex.Id = 1 AND PS.StartVertexId = PS.EndVertexId"
+        )
+        assert result.rows == [("1->2->3->1",)]
+
+    def test_cycles_in_cost_order(self, looped):
+        result = looped.execute(
+            "SELECT TOP 2 PS.PathString, PS.Cost FROM G.Paths PS "
+            "HINT(SHORTESTPATH(w)) WHERE PS.StartVertex.Id = 1 "
+            "AND PS.StartVertexId = PS.EndVertexId"
+        )
+        assert result.rows == [("1->2->3->1", 3.0), ("1->4->3->1", 11.0)]
+
+
 class TestHintsAndPhysicalChoice:
     def test_dfs_hint_in_plan(self, weighted):
         plan = weighted.explain(
@@ -328,25 +384,16 @@ class TestHintsAndPhysicalChoice:
             "SELECT PS.PathString FROM G.Paths PS "
             "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 5 LIMIT 1"
         )
-        assert "BFS" in plan
+        assert "PathScan(G, BFS)" in plan
 
-    def test_shortcut_disabled_by_option(self):
-        db = Database(PlannerOptions(reachability_shortcut=False))
-        db.execute("CREATE TABLE V (id INTEGER PRIMARY KEY)")
-        db.execute(
-            "CREATE TABLE E (id INTEGER PRIMARY KEY, s INTEGER, d INTEGER)"
+    def test_cycle_query_with_limit_1_enumerates(self, looped):
+        # the visited-once BFS can never close a cycle: enumerate instead
+        sql = (
+            "SELECT PS.PathString FROM G.Paths PS WHERE PS.EndVertex.Id = 3 "
+            "AND PS.StartVertexId = PS.EndVertexId LIMIT 1"
         )
-        db.execute("INSERT INTO V VALUES (1), (2)")
-        db.execute("INSERT INTO E VALUES (1, 1, 2)")
-        db.execute(
-            "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM V "
-            "EDGES(ID = id, FROM = s, TO = d) FROM E"
-        )
-        result = db.execute(
-            "SELECT PS.PathString FROM g.Paths PS "
-            "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 2 LIMIT 1"
-        )
-        assert result.rows == [("1->2",)]
+        assert "PathScan(G, DFS)" in looped.explain(sql)
+        assert looped.execute(sql).rows == [("3->1->2->3",)]
 
     def test_pushdown_disabled_still_correct(self, weighted):
         db = weighted

@@ -153,12 +153,29 @@ class TestGraphPlanShapes:
 
 
 class TestPhysicalTraversalChoice:
-    def test_reachability_shortcut_shape(self, db):
+    def test_reachability_uses_visited_once_bfs(self, db):
         plan = db.explain(
             "SELECT PS.PathString FROM Net.Paths PS "
             "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 4 LIMIT 1"
         )
         assert "BFS" in plan
+
+    @pytest.mark.parametrize(
+        "condition, limit",
+        [("", 2), ("AND PS.Edges[0].since = 2000 ", 1)],
+        ids=["limit_2", "positional_filter"],
+    )
+    def test_enumeration_when_shortcut_not_taken(self, db, condition, limit):
+        # more than one path wanted, or a filter tied to one position: the
+        # visited-once BFS would lose paths, so the scan enumerates (DFS:
+        # no length bound is inferred for the BFS/DFS heuristic)
+        sql = (
+            "SELECT PS.PathString FROM Net.Paths PS "
+            "WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 3 "
+            f"{condition}LIMIT {limit}"
+        )
+        assert "PathScan(Net, DFS)" in db.explain(sql)
+        assert db.execute(sql).rows[0] == ("1->2->3",)
 
     def test_no_shortcut_without_limit(self, db):
         # without LIMIT 1 all paths are required: enumeration mode

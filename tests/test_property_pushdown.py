@@ -60,17 +60,46 @@ def graph_and_predicate(draw):
     return n, edges, predicate, max_length
 
 
-@given(graph_and_predicate())
-@settings(max_examples=60, deadline=None)
-def test_pushdown_never_changes_answers(case):
-    n, edges, predicate, max_length = case
-    db = build_db(n, edges)
-    sql = (
-        "SELECT PS.PathString FROM g.Paths PS "
-        f"WHERE PS.Length <= {max_length} AND {predicate}"
-    )
+def pushed_and_residual(db, sql):
     db.planner_options = PlannerOptions(push_path_filters=True)
     pushed = sorted(db.execute(sql).column(0))
     db.planner_options = PlannerOptions(push_path_filters=False)
     residual = sorted(db.execute(sql).column(0))
+    return pushed, residual
+
+
+@given(graph_and_predicate(), st.sampled_from(["", "HINT(DFS)", "HINT(BFS)"]))
+@settings(max_examples=90, deadline=None)
+def test_pushdown_never_changes_answers(case, hint):
+    n, edges, predicate, max_length = case
+    db = build_db(n, edges)
+    sql = (
+        f"SELECT PS.PathString FROM g.Paths PS {hint} "
+        f"WHERE PS.Length <= {max_length} AND {predicate}"
+    )
+    pushed, residual = pushed_and_residual(db, sql)
+    assert pushed == residual, sql
+
+
+@given(
+    graph_and_predicate(),
+    st.sampled_from([
+        "SUM(PS.Edges.w) < 5",
+        "SUM(PS.Edges.w) <= 3",
+        "SUM(PS.Edges.w) >= 3",
+        "SUM(PS.Edges.w) > 2",
+        "SUM(PS.Edges.w) <> 3",
+    ]),
+)
+@settings(max_examples=60, deadline=None)
+def test_shortest_path_sum_bounds_pushed_or_not(case, bound):
+    # bounds on the weight itself: pruning the SPScan by the bound settles
+    # each vertex on the same cheapest path a Filter above it would see
+    n, edges, _predicate, max_length = case
+    db = build_db(n, edges)
+    sql = (
+        "SELECT PS.PathString FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+        f"WHERE PS.StartVertex.Id = 0 AND PS.Length <= {max_length} AND {bound}"
+    )
+    pushed, residual = pushed_and_residual(db, sql)
     assert pushed == residual, sql

@@ -4,17 +4,23 @@ Invariants on random graphs:
 
 * every produced path is *well-formed*: consecutive vertices joined by
   the listed edges, simple except for a possible closing cycle;
-* DFScan and BFScan enumerate exactly the same path set;
+* DFScan and BFScan enumerate exactly the same path set under a random
+  spec, and every path satisfies every element of it;
 * reachability through the engine matches networkx;
 * SPScan distances match networkx Dijkstra, and costs are non-decreasing;
+* SPScan honours a random spec too, and its cheapest cycle through a
+  vertex costs what networkx says;
 * the global-visited BFS discipline finds hop-minimal witnesses.
 """
+
+import operator
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.graph import TraversalSpec, bfs_paths, dfs_paths, shortest_paths
+from repro.graph.traversal import PositionalFilter, SumBound
 
 from .graph_fixtures import make_graph_view
 
@@ -68,6 +74,91 @@ def check_path_well_formed(view, path):
     assert len(edge_ids) == len(set(edge_ids))
 
 
+COMPARE = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "=": operator.eq, "<>": operator.ne,
+}
+#: ``[i..j]`` position ranges (``None`` = ``*``)
+RANGES = [(0, None), (0, 0), (1, 1), (1, 2), (1, None)]
+
+
+@st.composite
+def spec_description(draw, n, longest=3):
+    """A random TraversalSpec as plain data: positional and ``[0..*]``
+    edge (weight) and vertex (id) filters, prunable (``<``, ``<=``) and
+    final-only sum bounds, a target, the cycle pattern, start vertexes."""
+    ranges = st.sampled_from(RANGES)
+    min_length = draw(st.integers(min_value=1, max_value=2))
+    return {
+        "edge_filters": draw(st.lists(st.tuples(
+            ranges, st.sampled_from(["<=", ">="]),
+            st.integers(min_value=1, max_value=9)), max_size=2)),
+        "vertex_filters": draw(st.lists(st.tuples(
+            ranges, st.sampled_from(["<>", "<"]),
+            st.integers(min_value=0, max_value=n)), max_size=2)),
+        "sum_bounds": draw(st.lists(st.tuples(
+            st.sampled_from(sorted(COMPARE)),
+            st.integers(min_value=1, max_value=20)), max_size=2)),
+        "min_length": min_length,
+        "max_length": draw(st.integers(min_value=min_length, max_value=longest)),
+        "target": draw(st.none() | st.integers(min_value=0, max_value=n - 1)),
+        "target_is_start": draw(st.booleans()),
+        "starts": draw(st.none() | st.lists(
+            st.integers(min_value=0, max_value=n - 1),
+            min_size=1, max_size=3, unique=True)),
+    }
+
+
+def build_spec(view, described):
+    weight = view.edge_attribute_reader("w")
+
+    def edge_filter(bounds, op, threshold):
+        return PositionalFilter(
+            *bounds, lambda e: COMPARE[op](weight(e), threshold))
+
+    def vertex_filter(bounds, op, threshold):
+        return PositionalFilter(
+            *bounds, lambda v: COMPARE[op](v.id, threshold))
+
+    return TraversalSpec(
+        min_length=described["min_length"],
+        max_length=described["max_length"],
+        edge_filters=[edge_filter(*f) for f in described["edge_filters"]],
+        vertex_filters=[vertex_filter(*f) for f in described["vertex_filters"]],
+        sum_bounds=[
+            SumBound(weight, op, float(bound))
+            for op, bound in described["sum_bounds"]
+        ],
+        target_vertex_id=described["target"],
+        target_is_start=described["target_is_start"],
+    )
+
+
+def satisfies(view, described, path):
+    """Every element of the described spec, checked on the finished path."""
+    weight = view.edge_attribute_reader("w")
+    ids = path.vertex_ids()
+
+    def holds(filters, elements, value_of):
+        return all(
+            COMPARE[op](value_of(element), threshold)
+            for (start, end), op, threshold in filters
+            for position, element in enumerate(elements)
+            if start <= position and (end is None or position <= end)
+        )
+
+    total = sum(weight(e) for e in path.edges)
+    return (
+        described["min_length"] <= path.length <= described["max_length"]
+        and holds(described["edge_filters"], path.edges, weight)
+        and holds(described["vertex_filters"], path.vertices, lambda v: v.id)
+        and all(COMPARE[op](total, b) for op, b in described["sum_bounds"])
+        and described["target"] in (None, ids[-1])
+        and (not described["target_is_start"] or ids[0] == ids[-1])
+        and (described["starts"] is None or ids[0] in described["starts"])
+    )
+
+
 class TestEnumerationProperties:
     @given(random_graph())
     @settings(max_examples=80, deadline=None)
@@ -78,21 +169,26 @@ class TestEnumerationProperties:
         for path in dfs_paths(view, [0], spec):
             check_path_well_formed(view, path)
 
-    @given(random_graph())
-    @settings(max_examples=60, deadline=None)
-    def test_dfs_and_bfs_agree(self, data):
+    @given(random_graph(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_dfs_and_bfs_agree(self, data, draw):
         n, edges, directed = data
         view, _vt, _et = make_graph_view(range(n), edges, directed=directed)
-        spec = TraversalSpec(max_length=3)
+        described = draw.draw(spec_description(n))
+        starts = described["starts"]
+        spec = build_spec(view, described)
         dfs_set = {
             (tuple(p.vertex_ids()), tuple(p.edge_ids()))
-            for p in dfs_paths(view, [0], spec)
+            for p in dfs_paths(view, starts, spec)
         }
+        bfs_paths_list = list(bfs_paths(view, starts, build_spec(view, described)))
         bfs_set = {
-            (tuple(p.vertex_ids()), tuple(p.edge_ids()))
-            for p in bfs_paths(view, [0], spec)
+            (tuple(p.vertex_ids()), tuple(p.edge_ids())) for p in bfs_paths_list
         }
         assert dfs_set == bfs_set
+        for path in bfs_paths_list:
+            check_path_well_formed(view, path)
+            assert satisfies(view, described, path)
 
     @given(random_graph())
     @settings(max_examples=60, deadline=None)
@@ -158,3 +254,43 @@ class TestShortestPathsAgainstNetworkx:
         weight_of = view.edge_attribute_reader("w")
         costs = [p.cost for p in shortest_paths(view, [0], spec, weight_of)]
         assert costs == sorted(costs)
+
+    @given(random_graph(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_path_satisfies_the_spec(self, data, draw):
+        n, edges, directed = data
+        view, _vt, _et = make_graph_view(range(n), edges, directed=directed)
+        described = draw.draw(spec_description(n, longest=n))
+        per_vertex = draw.draw(st.integers(min_value=1, max_value=3))
+        weight_of = view.edge_attribute_reader("w")
+        paths = list(shortest_paths(
+            view, described["starts"], build_spec(view, described), weight_of,
+            max_paths_per_vertex=per_vertex))
+        costs = [p.cost for p in paths]
+        assert costs == sorted(costs)
+        for path in paths:
+            check_path_well_formed(view, path)
+            assert satisfies(view, described, path)
+            assert path.cost == pytest.approx(sum(weight_of(e) for e in path.edges))
+
+    @given(random_graph(directed=True))
+    @settings(max_examples=80, deadline=None)
+    def test_cheapest_cycle_matches_networkx(self, data):
+        n, edges, directed = data
+        view, _vt, _et = make_graph_view(range(n), edges, directed=directed)
+        oracle = to_networkx(n, edges, directed)
+        distances = nx.single_source_dijkstra_path_length(oracle, 0, weight="weight")
+        closing = [
+            distances[b] + oracle[b][0]["weight"]
+            for b in oracle.predecessors(0)
+            if b in distances
+        ]
+        spec = TraversalSpec(max_length=n + 1, target_is_start=True)
+        cycles = list(shortest_paths(
+            view, [0], spec, view.edge_attribute_reader("w")))
+        if not closing:
+            assert cycles == []
+            return
+        assert len(cycles) == 1
+        assert cycles[0].start_vertex_id == cycles[0].end_vertex_id == 0
+        assert cycles[0].cost == pytest.approx(min(closing))

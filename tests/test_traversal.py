@@ -151,11 +151,21 @@ class TestGlobalVisitedMode:
         assert len(paths) == 1
         assert stats.paths_emitted == 1
 
-    def test_dfs_global_mode(self):
+    def test_dfs_visited_once_mode(self):
         view = diamond_view()
         spec = TraversalSpec(max_length=5, unique_vertices=True)
         paths = list(dfs_paths(view, [1], spec))
         assert sorted(p.end_vertex_id for p in paths) == [2, 3, 4]
+        # dfs_paths routes visited-once to the one BFS loop: a depth-first
+        # walk would reach 5 through 1->3->4->5 before 2's edge to it
+        view = make_graph_view(
+            [1, 2, 3, 4, 5],
+            [(1, 1, 2), (2, 1, 3), (3, 3, 4), (4, 4, 5), (5, 2, 5)],
+        )[0]
+        paths = list(dfs_paths(view, [1], spec))
+        assert {p.end_vertex_id: p.length for p in paths} == {
+            2: 1, 3: 1, 4: 2, 5: 2
+        }
 
 
 class TestPositionalFilters:
