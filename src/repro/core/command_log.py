@@ -109,8 +109,13 @@ _ON_ERROR_POLICIES = ("abort", "skip", "stop")
 _SYNC_POLICIES = ("commit", "batch", "off")
 
 
+#: Escaped character -> what it stands for. A bare "\r" would end a
+#: line for the reader too: text reads translate it to "\n".
+_ESCAPES = {"n": "\n", "r": "\r", "\\": "\\"}
+
+
 def _encode(sql: str) -> str:
-    return sql.replace("\\", "\\\\").replace("\n", "\\n")
+    return sql.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
 
 
 def _decode(line: str) -> str:
@@ -118,16 +123,10 @@ def _decode(line: str) -> str:
     i = 0
     while i < len(line):
         ch = line[i]
-        if ch == "\\" and i + 1 < len(line):
-            nxt = line[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
+        if ch == "\\" and i + 1 < len(line) and line[i + 1] in _ESCAPES:
+            out.append(_ESCAPES[line[i + 1]])
+            i += 2
+            continue
         out.append(ch)
         i += 1
     return "".join(out)

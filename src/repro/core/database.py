@@ -23,8 +23,9 @@ topology changes) are rolled back.
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .. import budget as budget_module
 from ..budget import CancellationToken, QueryBudget
@@ -48,9 +49,14 @@ from ..observability.slowlog import SlowQueryLog
 from ..observability.tracer import QueryTracer
 from ..planner.options import PlannerOptions
 from ..resilience.health import HealthMonitor
-from ..planner.rewrite import find_relational_aggregates
+from ..planner.rewrite import (
+    find_relational_aggregates,
+    replace_nodes,
+    rewrite_select,
+)
 from ..planner.select_planner import PlannedQuery, SelectPlanner
 from ..sql import Parser, ast, parse_statement
+from ..sql.render import render_statement
 from ..storage.catalog import Catalog
 from ..storage.index import HashIndex, Index, OrderedIndex
 from ..storage.schema import Column, TableSchema
@@ -58,6 +64,7 @@ from ..storage.table import Table
 from ..txn.transactions import TransactionManager, UndoListener
 from ..types import SqlType
 from .result import ResultSet
+from .statement_cache import StatementCache
 from .views import MaterializedView
 
 
@@ -155,6 +162,9 @@ class Database:
         #: Bounded log of statements slower than the configured
         #: threshold (off until :meth:`set_slow_query_threshold`).
         self.slow_queries = SlowQueryLog()
+        self._statements = StatementCache(
+            lambda statement: PreparedQuery(self, statement)
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -220,7 +230,15 @@ class Database:
         budget: Optional[QueryBudget] = None,
         token: Optional[CancellationToken] = None,
     ) -> ResultSet:
-        """Parse and run one SQL statement.
+        """Run one SQL statement.
+
+        A statement runs from the plan cached for its shape (the text
+        with its literals lifted out, see :mod:`repro.core.statement_cache`)
+        when there is one; the first statement of a shape, and every
+        statement the cache does not take, is parsed and planned. A
+        cached plan keeps its join order and access paths until DDL,
+        :meth:`analyze` or a new :attr:`planner_options` — the contract
+        of :meth:`prepare`.
 
         ``budget`` adds per-statement resource limits on top of any
         database-level or planner-level budget (tightest knob wins); an
@@ -235,39 +253,55 @@ class Database:
         given, it overrides ``budget`` (the caller already combined the
         budget levels when it started the token).
         """
-        return self.execute_parsed(parse_statement(sql), sql, budget, token)
+        return self.execute_parsed(self.compile(sql), sql, budget, token)
+
+    def compile(self, sql: str) -> Union[ast.Statement, "PreparedQuery"]:
+        """``sql`` ready for :meth:`execute_parsed`: the statement
+        cache's plan for it, bound to its literals and checked out to
+        the caller (parsed and planned first on a miss) — or, for a
+        statement the cache does not take, the parsed statement.
+        ``.statement`` of a :class:`PreparedQuery` is its syntax tree,
+        parameters bound."""
+        return self._statements.checkout(sql)
 
     def execute_parsed(
         self,
-        statement: ast.Statement,
+        statement: Union[ast.Statement, "PreparedQuery"],
         sql: str,
         budget: Optional[QueryBudget] = None,
         token: Optional[CancellationToken] = None,
     ) -> ResultSet:
-        """Run one already-parsed statement; ``sql`` is its source text.
+        """Run one statement the caller already parsed — or a bound
+        :class:`PreparedQuery` (from :meth:`compile`, or a prepared
+        write) — whose source text is ``sql``.
 
         This is the statement lifecycle, owned in one place: the role /
         health gate and the run (:meth:`_execute_statement`) under the
         statement's token, then the metrics / span / slow-log record,
         then — for a successful write — the hand-off to the attached
         command log (append + fsync, or pending inside an explicit
-        transaction). :meth:`execute`, :meth:`execute_script` and
-        :meth:`apply_replicated` all arrive here, as does the network
-        server with the statement it parsed to route.
+        transaction), which records ``sql``. :meth:`execute`,
+        :meth:`execute_script`, :meth:`apply_replicated`, prepared
+        writes and the network server all arrive here.
         """
+        prepared = statement if isinstance(statement, PreparedQuery) else None
+        if prepared is not None:
+            statement = prepared.statement
         kind = type(statement).__name__
         started = time.perf_counter()
         try:
             if token is None:
                 token = self._start_token(budget)
             if token is None:
-                result = self._execute_statement(statement)
+                result = self._execute_statement(statement, prepared)
             else:
                 with budget_module.activate(token):
-                    result = self._execute_statement(statement, token)
+                    result = self._execute_statement(statement, prepared, token)
         except (ResourceExhaustedError, QueryCancelledError) as exc:
             self._record_statement_abort(kind, exc)
             raise
+        if prepared is not None and prepared.cache_key is not None:
+            self._statements.checkin(prepared)
         self._record_statement(sql, kind, started, result)
         if self.command_log is not None and statement_is_write(statement):
             self.command_log.record(sql)
@@ -349,7 +383,8 @@ class Database:
         ]
 
     def prepare(self, sql: str) -> "PreparedQuery":
-        """Plan a parameterized SELECT once; execute it many times.
+        """Plan a parameterized SELECT, INSERT, UPDATE or DELETE once;
+        execute it many times.
 
         ``?`` placeholders bind positionally::
 
@@ -361,12 +396,12 @@ class Database:
 
         This is the VoltDB stored-procedure execution model the paper's
         measurements assume: parsing and planning are paid once, not per
-        query.
+        query (again only after DDL, :meth:`analyze` or a new
+        :attr:`planner_options`).
         """
-        statement = parse_statement(sql)
-        if not isinstance(statement, ast.Select):
-            raise PlanningError("only SELECT statements can be prepared")
-        return PreparedQuery(self, statement)
+        prepared = PreparedQuery(self, parse_statement(sql), sql)
+        prepared._current_plan()
+        return prepared
 
     def stream(self, sql: str, budget: Optional[QueryBudget] = None):
         """Execute a SELECT and yield result rows lazily.
@@ -420,9 +455,7 @@ class Database:
     ) -> str:
         kind = type(statement).__name__
         if isinstance(statement, (ast.Update, ast.Delete)) and not analyze:
-            table = self._resolve_writable_table(statement.table)
-            plan = self._make_planner().plan_dml_targets(table, statement.where)
-            return f"{kind}({table.name})\n{plan.explain(1)}"
+            return _TargetedWritePlan(self, statement, targets_only=True).explain()
         if not isinstance(statement, ast.Select):
             what, plannable = (
                 ("EXPLAIN ANALYZE", "SELECT")
@@ -508,6 +541,7 @@ class Database:
                 "topology_bytes": view.topology.memory_estimate_bytes(),
             }
         self.catalog.statistics = statistics
+        self.catalog.changed()
         return statistics
 
     def save_snapshot(self, path: str) -> None:
@@ -580,8 +614,11 @@ class Database:
     def _execute_statement(
         self,
         statement: ast.Statement,
+        prepared: Optional["PreparedQuery"] = None,
         token: Optional[CancellationToken] = None,
     ) -> ResultSet:
+        """Gate, then run ``statement`` — through ``prepared``, its
+        compiled form, when the caller has one."""
         if (
             self.role == "replica"
             and self._replica_apply_depth == 0
@@ -604,13 +641,15 @@ class Database:
                 f"{self.health.state} (read-only) — "
                 f"{self.health.reason or 'durable writes are unavailable'}"
             )
+        if prepared is not None:
+            return prepared._run(token)
+        if isinstance(statement, _COMPILED_STATEMENTS):
+            return self._run_plan(self._compile(statement), token)
         if isinstance(statement, ast.Explain):
             text = self._explain_statement(statement.statement, statement.analyze)
             return ResultSet(
                 ["QUERY PLAN"], [(line,) for line in text.splitlines()]
             )
-        if isinstance(statement, ast.Select):
-            return self._plan_and_run_select(statement, token)
         if isinstance(statement, ast.SetOperation):
             return self._execute_set_operation(statement, token)
         if isinstance(statement, ast.CreateTable):
@@ -625,30 +664,62 @@ class Database:
             return self._execute_alter_graph_view(statement)
         if isinstance(statement, ast.Drop):
             return self._execute_drop(statement)
-        if isinstance(statement, ast.Insert):
-            return self._in_transaction(self._execute_insert, statement)
-        if isinstance(statement, ast.Update):
-            return self._in_transaction(self._execute_update, statement)
-        if isinstance(statement, ast.Delete):
-            return self._in_transaction(self._execute_delete, statement)
         if isinstance(statement, ast.Truncate):
-            return self._in_transaction(self._execute_truncate, statement)
+            return self._in_transaction(
+                lambda: self._execute_truncate(statement)
+            )
         raise PlanningError(
             f"unsupported statement: {type(statement).__name__}"
         )
 
-    def _in_transaction(self, handler, statement) -> ResultSet:
-        """Run a DML handler inside the active or an implicit transaction."""
+    def _in_transaction(self, run) -> ResultSet:
+        """Run a write inside the active or an implicit transaction."""
         if self.transactions.in_transaction:
-            return handler(statement)
+            return run()
         self.transactions.begin()
         try:
-            result = handler(statement)
+            result = run()
         except BaseException:
             self.transactions.rollback()
             raise
         self.transactions.commit()
         return result
+
+    def _compile(self, statement: ast.Statement):
+        """The executable form of a SELECT (its :class:`PlannedQuery`)
+        or of an INSERT / UPDATE / DELETE (a write plan): what
+        :meth:`_run_plan` runs, once here or many times as a
+        :class:`PreparedQuery`."""
+        if isinstance(statement, ast.Select):
+            return self._plan_select(statement)
+        if isinstance(statement, ast.Insert):
+            return _InsertPlan(self, statement)
+        if isinstance(statement, (ast.Update, ast.Delete)):
+            return _TargetedWritePlan(self, statement)
+        raise PlanningError(
+            "only SELECT, INSERT, UPDATE and DELETE statements can be "
+            f"prepared (got {type(statement).__name__})"
+        )
+
+    def _run_plan(
+        self, plan, token: Optional[CancellationToken] = None
+    ) -> ResultSet:
+        """Run a compiled statement: a write inside the active or an
+        implicit transaction, a SELECT to its rows. ``token`` (active
+        already, when given) counts the rows; subqueries and views run
+        without one — operators still observe the ambient token for
+        time / traversal caps, but ``max_rows`` only governs the
+        top-level result."""
+        if not isinstance(plan, PlannedQuery):
+            return self._in_transaction(plan.run)
+        if token is None:
+            rows = [tuple(row) for row in plan.operator]
+        else:
+            rows = []
+            for row in plan.operator:
+                token.tick_rows()
+                rows.append(tuple(row))
+        return ResultSet(plan.column_names, rows)
 
     # ------------------------------------------------------------------
     # SELECT
@@ -658,7 +729,9 @@ class Database:
         return SelectPlanner(
             self.catalog,
             self.planner_options,
-            subquery_executor=lambda sub: self._plan_and_run_select(sub).rows,
+            subquery_executor=lambda sub: self._run_plan(
+                self._plan_select(sub)
+            ).rows,
         )
 
     def _plan_select(self, select: ast.Select) -> PlannedQuery:
@@ -671,24 +744,6 @@ class Database:
         if expression is None:
             return None
         return self._make_planner()._materialize_subqueries(expression)
-
-    def _plan_and_run_select(
-        self,
-        select: ast.Select,
-        token: Optional[CancellationToken] = None,
-    ) -> ResultSet:
-        planned = self._plan_select(select)
-        if token is None:
-            # subqueries and DML-embedded SELECTs land here: operators
-            # still observe the ambient token for time/traversal caps,
-            # but max_rows only governs the top-level result
-            rows = [tuple(row) for row in planned.operator]
-        else:
-            rows = []
-            for row in planned.operator:
-                token.tick_rows()
-                rows.append(tuple(row))
-        return ResultSet(planned.column_names, rows)
 
     def _execute_set_operation(
         self,
@@ -778,11 +833,13 @@ class Database:
         else:
             sources = self._view_source_tables(query)
             view = MaterializedView(statement.name, query, backing, sources)
-            for row in self._plan_and_run_select(query).rows:
+
+            def refresh():
+                return self._run_plan(self._plan_select(query)).rows
+
+            for row in refresh():
                 backing.insert(row)
-            view.attach_full_refresh(
-                lambda: self._plan_and_run_select(query).rows
-            )
+            view.attach_full_refresh(refresh)
         # register after the backing table so the name maps to the view
         self.catalog.drop_table(statement.name)
         self.catalog.register_view(statement.name, view)
@@ -921,7 +978,12 @@ class Database:
         attribute relation to an existing graph view."""
         view: GraphView = self.catalog.graph_view(statement.name)
         table = self._resolve_readable_table(statement.source)
-        view.attach_attribute_source(statement.element, table, statement.mappings)
+        try:
+            view.attach_attribute_source(
+                statement.element, table, statement.mappings
+            )
+        finally:
+            self.catalog.changed()
         return ResultSet()
 
     def _execute_drop(self, statement: ast.Drop) -> ResultSet:
@@ -939,10 +1001,7 @@ class Database:
             graph_view.detach_maintenance_listeners()
             self.catalog.drop_graph_view(name)
         elif kind == "INDEX":
-            owner = self.catalog.index_owner(name)
-            if owner is None:
-                raise CatalogError(f"unknown index: {name}")
-            self.catalog.table(owner).drop_index(name)
+            self.catalog.drop_index(name)
         else:
             raise PlanningError(f"cannot DROP {kind}")
         return ResultSet()
@@ -986,54 +1045,58 @@ class Database:
             return self.catalog.view(name).table
         raise CatalogError(f"unknown table or view: {name}")
 
-    def _execute_insert(self, statement: ast.Insert) -> ResultSet:
+    def _execute_truncate(self, statement: ast.Truncate) -> ResultSet:
         table = self._resolve_writable_table(statement.table)
-        schema = table.schema
-        empty_scope = Scope([RelationBinding("#none", 0, schema)])
-        positions: Optional[List[int]] = None
-        if statement.columns is not None:
-            positions = [schema.position_of(c) for c in statement.columns]
-        if statement.query is not None:
-            return self._insert_from_query(table, positions, statement.query)
-        count = 0
-        for row_expressions in statement.rows:
-            values = [
-                ExpressionCompiler(empty_scope).compile(e).fn([None])
-                for e in row_expressions
-            ]
-            if positions is None:
-                row = values
-            else:
-                if len(values) != len(positions):
-                    raise ExecutionError(
-                        f"INSERT specifies {len(positions)} columns but "
-                        f"{len(values)} values"
-                    )
-                row = [None] * len(schema)
-                for position, value in zip(positions, values):
-                    row[position] = value
-            table.insert(row)
-            count += 1
-        return ResultSet(rowcount=count)
+        return ResultSet(rowcount=table.truncate())
 
-    def _insert_from_query(
-        self,
-        table: Table,
-        positions: Optional[List[int]],
-        query: ast.Select,
-    ) -> ResultSet:
-        """``INSERT INTO t [cols] SELECT ...`` — the workhorse of the
-        Grail baseline's iterative frontier expansion."""
-        rows = self._plan_and_run_select(query).rows
+
+class _InsertPlan:
+    """An INSERT compiled once: its table, the positions of its column
+    list, and each ``VALUES`` row as compiled expressions — or the
+    planned SELECT it draws its rows from (``INSERT ... SELECT``, the
+    workhorse of the Grail baseline's iterative frontier expansion)."""
+
+    column_names: List[str] = []
+
+    def __init__(self, database: Database, statement: ast.Insert):
+        self._database = database
+        self.table = database._resolve_writable_table(statement.table)
+        schema = self.table.schema
+        self.positions: Optional[List[int]] = None
+        if statement.columns is not None:
+            self.positions = [schema.position_of(c) for c in statement.columns]
+        self.query: Optional[PlannedQuery] = None
+        self.rows: List[List[Any]] = []
+        if statement.query is not None:
+            self.query = database._plan_select(statement.query)
+        else:
+            scope = Scope([RelationBinding("#none", 0, schema)])
+            self.rows = [
+                [ExpressionCompiler(scope).compile(e).fn for e in row]
+                for row in statement.rows
+            ]
+
+    def explain(self) -> str:
+        return f"Insert({self.table.name})"
+
+    def run(self) -> ResultSet:
+        table, positions = self.table, self.positions
+        if self.query is not None:
+            rows = self._database._run_plan(self.query).rows
+            supplied = "the query produces {}"
+        else:
+            empty = [None]
+            rows = ([fn(empty) for fn in row] for row in self.rows)
+            supplied = "{} values"
         count = 0
         for values in rows:
             if positions is None:
-                row: List[Any] = list(values)
+                row = list(values)
             else:
                 if len(values) != len(positions):
                     raise ExecutionError(
                         f"INSERT specifies {len(positions)} columns but "
-                        f"the query produces {len(values)}"
+                        + supplied.format(len(values))
                     )
                 row = [None] * len(table.schema)
                 for position, value in zip(positions, values):
@@ -1042,93 +1105,159 @@ class Database:
             count += 1
         return ResultSet(rowcount=count)
 
-    def _dml_targets(
-        self, table: Table, where: Optional[ast.Expression]
-    ) -> List[int]:
-        """Slots of the rows a WHERE clause selects (all when absent),
-        collected in full before the caller mutates anything: a row an
-        UPDATE moves along the index it was found through is not met
-        again."""
-        plan = self._make_planner().plan_dml_targets(table, where)
-        return [row[1] for row in plan]
 
-    def _execute_update(self, statement: ast.Update) -> ResultSet:
-        table = self._resolve_writable_table(statement.table)
-        scope = Scope([RelationBinding(statement.table, 0, table.schema)])
-        compiled_assignments = [
-            (
-                table.schema.position_of(column),
-                ExpressionCompiler(scope).compile(
-                    self._materialize_subqueries(e)
-                ),
-            )
-            for column, e in statement.assignments
-        ]
-        slots = self._dml_targets(table, statement.where)
+class _TargetedWritePlan:
+    """An UPDATE or DELETE compiled once: the access plan of its
+    ``WHERE`` over its table (:meth:`SelectPlanner.plan_dml_targets`)
+    and, for an UPDATE, its compiled ``SET`` expressions — left out
+    with ``targets_only``, which plans just what ``EXPLAIN`` shows."""
+
+    column_names: List[str] = []
+
+    def __init__(self, database: Database, statement, targets_only=False):
+        self.kind = type(statement).__name__
+        self.table = table = database._resolve_writable_table(statement.table)
+        self.assignments = []
+        if isinstance(statement, ast.Update) and not targets_only:
+            scope = Scope([RelationBinding(statement.table, 0, table.schema)])
+            self.assignments = [
+                (
+                    table.schema.position_of(column),
+                    ExpressionCompiler(scope).compile(
+                        database._materialize_subqueries(expression)
+                    ).fn,
+                )
+                for column, expression in statement.assignments
+            ]
+        self.targets = database._make_planner().plan_dml_targets(
+            table, statement.where
+        )
+
+    def explain(self) -> str:
+        return f"{self.kind}({self.table.name})\n{self.targets.explain(1)}"
+
+    def run(self) -> ResultSet:
+        # every target is collected before the first row changes: a row
+        # an UPDATE moves along the index it was found through is not
+        # met again
+        table = self.table
+        slots = [row[1] for row in self.targets]
+        if self.kind == "Delete":
+            for slot in slots:
+                table.delete(slot)
+            return ResultSet(rowcount=len(slots))
         updates: List[Tuple[int, List[Any]]] = []
         for slot in slots:
-            row = list(table.row_at(slot))
-            for position, expression in compiled_assignments:
-                row[position] = expression.fn([table.row_at(slot)])
+            old = table.row_at(slot)
+            row = list(old)
+            for position, evaluate in self.assignments:
+                row[position] = evaluate([old])
             updates.append((slot, row))
         for slot, row in updates:
             table.update(slot, row)
         return ResultSet(rowcount=len(updates))
 
-    def _execute_delete(self, statement: ast.Delete) -> ResultSet:
-        table = self._resolve_writable_table(statement.table)
-        slots = self._dml_targets(table, statement.where)
-        for slot in slots:
-            table.delete(slot)
-        return ResultSet(rowcount=len(slots))
 
-    def _execute_truncate(self, statement: ast.Truncate) -> ResultSet:
-        table = self._resolve_writable_table(statement.table)
-        return ResultSet(rowcount=table.truncate())
+#: Statements with a compiled form (:meth:`Database._compile`).
+_COMPILED_STATEMENTS = (ast.Select, ast.Insert, ast.Update, ast.Delete)
+
+
+def _inline_parameters(statement: ast.Statement) -> ast.Statement:
+    """A copy of a write with every ``?`` replaced by its bound value as a
+    literal: the text a prepared write leaves in the command log."""
+
+    def literal(node: ast.Expression) -> Optional[ast.Expression]:
+        return ast.Literal(node.value) if isinstance(node, ast.Parameter) else None
+
+    def inline(expression: Optional[ast.Expression]) -> Optional[ast.Expression]:
+        return None if expression is None else replace_nodes(expression, literal)
+
+    if isinstance(statement, ast.Insert):
+        return ast.Insert(
+            statement.table,
+            statement.columns,
+            [[inline(item) for item in row] for row in statement.rows],
+            query=statement.query
+            and rewrite_select(statement.query, literal),
+        )
+    if isinstance(statement, ast.Update):
+        return ast.Update(
+            statement.table,
+            [(column, inline(e)) for column, e in statement.assignments],
+            inline(statement.where),
+        )
+    return ast.Delete(statement.table, inline(statement.where))
+
+
+def _check_literal_values(values: Sequence[Any]) -> None:
+    """Refuse a bound value no SQL literal writes — the command log's
+    text of a prepared write would not replay to it."""
+    for number, value in enumerate(values, start=1):
+        kind = type(value)
+        if kind not in (type(None), bool, int, float, str) or (
+            kind is float and not math.isfinite(value)
+        ):
+            raise ExecutionError(
+                f"parameter {number} of a prepared write is {value!r}: a "
+                "write binds NULL, a boolean, an integer, a finite float "
+                "or a string"
+            )
 
 
 class PreparedQuery:
-    """A SELECT planned once, executable with fresh ``?`` bindings.
+    """A SELECT, INSERT, UPDATE or DELETE planned once, executable with
+    fresh ``?`` bindings — what :meth:`Database.prepare` returns and what
+    the statement cache keeps.
 
     The compiled plan reads parameter values straight off the
-    :class:`~repro.sql.ast.Parameter` nodes, so binding is two attribute
-    writes and execution re-runs the existing operator tree.
+    :class:`~repro.sql.ast.Parameter` nodes, so binding is attribute
+    writes and execution re-runs the existing plan. A plan is valid for
+    the catalog version and the planner options it was made under; run
+    after DDL, :meth:`Database.analyze` or a new ``planner_options``, the
+    statement is planned again first.
+
+    A statement with a subquery is planned again for every run: the
+    planner runs an uncorrelated subquery while it plans, and a run must
+    see the data of its own moment — as :meth:`Database.execute` and a
+    replay of the command log do.
+
+    A prepared SELECT runs straight from :meth:`execute`; a prepared
+    write goes through :meth:`Database.execute_parsed` (gate, record,
+    command log — which records the statement with its bound values
+    written in as literals, so a write binds only values a literal can
+    write).
     """
 
-    def __init__(self, database: Database, statement: ast.Select):
+    def __init__(self, database: Database, statement: ast.Statement,
+                 sql: Optional[str] = None):
         self._database = database
-        self._statement = statement
-        self._parameters = self._collect_parameters(statement)
-        self._planned = database._plan_select(statement)
+        #: The syntax tree the plan is made from; its parameters hold the
+        #: values bound last.
+        self.statement = statement
+        self._sql = sql
+        self._parameters = ast.statement_parameters(statement)
+        self._writes = isinstance(statement, WRITE_STATEMENT_TYPES)
+        self._has_subquery = ast.has_subquery(statement)
+        self._plan = None
+        self._version: Optional[int] = None
+        self._options: Optional[PlannerOptions] = None
+        #: Where the statement cache keeps this plan between runs (None:
+        #: not a cached plan).
+        self.cache_key = None
 
-    @staticmethod
-    def _collect_parameters(statement: ast.Select) -> List[ast.Parameter]:
-        found: Dict[int, ast.Parameter] = {}
-
-        def scan_expression(expression: Optional[ast.Expression]) -> None:
-            if expression is None:
-                return
-            for node in ast.walk_expression(expression):
-                if isinstance(node, ast.Parameter):
-                    found[node.index] = node
-
-        scan_expression(statement.where)
-        scan_expression(statement.having)
-        for item in statement.items:
-            scan_expression(item.expression)
-        for group in statement.group_by:
-            scan_expression(group)
-        for order in statement.order_by:
-            scan_expression(order.expression)
-        def scan_from_item(item: ast.FromItem) -> None:
-            if isinstance(item, ast.Join):
-                scan_from_item(item.left)
-                scan_from_item(item.right)
-                scan_expression(item.condition)
-
-        for from_item in statement.from_items:
-            scan_from_item(from_item)
-        return [found[index] for index in sorted(found)]
+    def _current_plan(self):
+        """The plan, made again first if the catalog or the planner
+        options moved since it was made, or if it holds a subquery's
+        rows."""
+        database = self._database
+        version, options = database.catalog.version, database.planner_options
+        if version != self._version or options is not self._options:
+            self._plan = database._compile(self.statement)
+            # a plan holding a subquery's rows is good for one run: it
+            # stays unversioned, so the next run plans again
+            self._version = None if self._has_subquery else version
+            self._options = options
+        return self._plan
 
     @property
     def parameter_count(self) -> int:
@@ -1136,10 +1265,10 @@ class PreparedQuery:
 
     @property
     def column_names(self) -> List[str]:
-        return list(self._planned.column_names)
+        return list(self._current_plan().column_names)
 
     def explain(self) -> str:
-        return self._planned.explain()
+        return self._current_plan().explain()
 
     def _bind(self, values) -> None:
         if len(values) != len(self._parameters):
@@ -1150,33 +1279,56 @@ class PreparedQuery:
         for parameter, value in zip(self._parameters, values):
             parameter.value = value
 
+    def _run(self, token: Optional[CancellationToken]) -> ResultSet:
+        """One run under the statement funnel (the token is active)."""
+        return self._database._run_plan(self._current_plan(), token)
+
     def execute(
         self,
         *values: Any,
         budget: Optional[QueryBudget] = None,
         token: Optional[CancellationToken] = None,
     ) -> ResultSet:
+        database = self._database
+        if self._writes:
+            _check_literal_values(values)
+            self._bind(values)
+            text = self._sql
+            if self._parameters:
+                text = render_statement(_inline_parameters(self.statement))
+            return database.execute_parsed(self, text, budget, token)
         self._bind(values)
+        # a prepared read pays for nothing but the run: the staleness
+        # check is inlined, no frame is added on the way to the rows
+        if (
+            database.catalog.version != self._version
+            or database.planner_options is not self._options
+        ):
+            self._current_plan()
+        planned = self._plan
         if token is None:
-            token = self._database._start_token(budget)
+            token = database._start_token(budget)
         if token is None:
-            rows = [tuple(row) for row in self._planned.operator]
+            rows = [tuple(row) for row in planned.operator]
         else:
             with budget_module.activate(token):
                 rows = []
-                for row in self._planned.operator:
+                for row in planned.operator:
                     token.tick_rows()
                     rows.append(tuple(row))
-        return ResultSet(self._planned.column_names, rows)
+        return ResultSet(planned.column_names, rows)
 
     def stream(self, *values: Any, budget: Optional[QueryBudget] = None):
-        """Bind parameters and yield rows lazily (see Database.stream).
+        """Bind parameters and yield a SELECT's rows lazily (see
+        Database.stream).
 
         The parameter bindings live on the shared plan, so do not
         interleave two streams of the same PreparedQuery with different
         bindings.
         """
+        if self._writes:
+            raise PlanningError("stream() only supports SELECT statements")
         self._bind(values)
         yield from _stream_rows(
-            self._planned.operator, self._database._start_token(budget)
+            self._current_plan().operator, self._database._start_token(budget)
         )

@@ -31,10 +31,11 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from ..budget import CancellationToken, QueryBudget
-from ..core.database import Database, statement_is_write
+from ..core.database import Database, PreparedQuery, statement_is_write
 from ..errors import (
     DatabaseError,
     NotPrimaryError,
+    PlanningError,
     ProtocolError,
     ShuttingDownError,
 )
@@ -42,7 +43,6 @@ from ..observability import context as observability_context
 from ..observability import events as observability_events
 from ..observability import tracing as observability_tracing
 from ..observability.metrics import get_registry, recording_registry
-from ..sql.parser import parse_statement
 from . import protocol
 from .protocol import ROW_BATCH, error_code_for
 from .scheduler import SingleWriterScheduler
@@ -462,9 +462,15 @@ class Server:
             sql = request.get("sql")
             if not isinstance(sql, str):
                 raise ProtocolError("QUERY requires a string 'sql' field")
-            # the one parse: routing, the shard guard and the engine
-            # all work from this statement
-            statement = parse_statement(sql)
+            # the statement cache's plan for the text (parsed once on a
+            # miss), or its parse: routing, the shard guard and the
+            # engine all work from this one form
+            executable = self.db.compile(sql)
+            statement = (
+                executable.statement
+                if isinstance(executable, PreparedQuery)
+                else executable
+            )
             is_write = statement_is_write(statement)
             if self.shard_info is not None:
                 # rejected before execution, so retrying elsewhere is
@@ -475,7 +481,7 @@ class Server:
 
                 check_shard_ownership(self.db, self.shard_info, statement)
             runner = lambda: self.db.execute_parsed(  # noqa: E731
-                statement, sql, token=token
+                executable, sql, token=token
             )
         if session.disconnected:
             raise ShuttingDownError("client disconnected")
@@ -632,6 +638,11 @@ class Server:
                 raise ProtocolError("PREPARE requires a string 'sql' field")
             # planning reads the catalog, so it takes the read lock too
             prepared = self.scheduler.run_read(lambda: self.db.prepare(sql))
+            if statement_is_write(prepared.statement):
+                # EXECUTE is retried after a reconnect like any read
+                raise PlanningError(
+                    "only SELECT statements can be prepared over the wire"
+                )
         except BaseException as error:
             return self._send_error(session, lock, request_id, error)
         handle = session.mint_handle()

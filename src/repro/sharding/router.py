@@ -66,6 +66,7 @@ from ..core.database import (
     statement_is_write,
 )
 from ..core.result import ResultSet
+from ..core.statement_cache import LruCache
 from ..errors import (
     CatalogError,
     ClientConnectionError,
@@ -97,8 +98,8 @@ _MERGEABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 #: slice of whatever tables it references).
 _SUBQUERY_NODES = (ast.InSubquery, ast.ExistsSubquery, ast.CorrelatedSubquery)
 
-#: Routing-plan cache size (plans are per-SQL-text, like the paper's
-#: plan cache; DDL invalidates the whole cache).
+#: Routing-plan cache size. Plans are per SQL text and catalog version:
+#: DDL moves the version, so a plan made before it is never found again.
 _PLAN_CACHE_SIZE = 512
 
 
@@ -146,18 +147,17 @@ class _RouterPrepared:
     """Router-side prepared statement.
 
     Holds the coordinator's :class:`PreparedQuery` (parameter count,
-    column names, gather-tier execution) plus a private parse of the
-    same SQL whose :class:`~repro.sql.ast.Parameter` nodes the router
-    binds at EXECUTE time to extract the partition key — the fast path
-    lazily prepares the same SQL on the owning shard's connection.
+    column names, gather-tier execution), whose
+    :class:`~repro.sql.ast.Parameter` nodes the router binds at EXECUTE
+    time to extract the partition key — the fast path lazily prepares
+    the same SQL on the owning shard's connection.
     """
 
-    def __init__(self, sql: str, statement: ast.Select,
-                 coordinator: PreparedQuery):
+    def __init__(self, sql: str, coordinator: PreparedQuery):
         self.sql = sql
-        self.statement = statement
+        self.statement = coordinator.statement
         self.coordinator = coordinator
-        self.parameters = PreparedQuery._collect_parameters(statement)
+        self.parameters = ast.statement_parameters(self.statement)
         #: shard index -> client-side Prepared on that shard.
         self.backend: Dict[int, Any] = {}
 
@@ -220,8 +220,8 @@ class Router(Server):
         #: write on the single-writer thread, so its value *is* the
         #: deterministic order every shard observes.
         self.global_sequence = 0
-        self._plan_cache: "OrderedDict[str, _ReadPlan]" = OrderedDict()
-        self._plan_lock = threading.Lock()
+        #: (catalog version, SQL text) -> _ReadPlan.
+        self._plan_cache = LruCache(_PLAN_CACHE_SIZE)
         #: Backoff for router->shard connections: fail fast — a dead
         #: shard should surface as SHARD_UNAVAILABLE in tens of
         #: milliseconds, not after the client-default one-second ramp.
@@ -390,7 +390,8 @@ class Router(Server):
             session.active_token = None
 
     def _route_sql(self, session: Session, sql: str, budget_wire, token):
-        plan = self._cached_plan(sql)
+        key = (self.db.catalog.version, sql)
+        plan = self._plan_cache.get(key)
         if plan is None:
             statement = parse_statement(sql)
             if statement_is_write(statement):
@@ -402,25 +403,8 @@ class Router(Server):
                     session=session.name,
                 )
             plan = self._plan_read(sql, statement)
-            self._cache_plan(sql, plan)
+            self._plan_cache.put(key, plan)
         return self._run_read_plan(session, sql, plan, budget_wire, token)
-
-    def _cached_plan(self, sql: str) -> Optional[_ReadPlan]:
-        with self._plan_lock:
-            plan = self._plan_cache.get(sql)
-            if plan is not None:
-                self._plan_cache.move_to_end(sql)
-            return plan
-
-    def _cache_plan(self, sql: str, plan: _ReadPlan) -> None:
-        with self._plan_lock:
-            self._plan_cache[sql] = plan
-            while len(self._plan_cache) > _PLAN_CACHE_SIZE:
-                self._plan_cache.popitem(last=False)
-
-    def _invalidate_plans(self) -> None:
-        with self._plan_lock:
-            self._plan_cache.clear()
 
     def _partition_column_of(self, table: str) -> Optional[str]:
         return self.shard_map.partition_column(table)
@@ -459,7 +443,7 @@ class Router(Server):
 
     @staticmethod
     def _has_subquery(statement: ast.Select) -> bool:
-        for expression in _select_expressions(statement):
+        for expression in ast.statement_expressions(statement):
             for node in ast.walk_expression(expression):
                 if isinstance(node, _SUBQUERY_NODES):
                     return True
@@ -467,7 +451,7 @@ class Router(Server):
 
     @staticmethod
     def _has_parameter(statement: ast.Select) -> bool:
-        for expression in _select_expressions(statement):
+        for expression in ast.statement_expressions(statement):
             for node in ast.walk_expression(expression):
                 if isinstance(node, ast.Parameter):
                     return True
@@ -715,8 +699,11 @@ class Router(Server):
             coordinator = self.scheduler.run_read(
                 lambda: self.db.prepare(sql)
             )
-            statement = parse_statement(sql)
-            prepared = _RouterPrepared(sql, statement, coordinator)
+            if not isinstance(coordinator.statement, ast.Select):
+                raise PlanningError(
+                    "only SELECT statements can be prepared over the wire"
+                )
+            prepared = _RouterPrepared(sql, coordinator)
         except BaseException as error:
             return self._send_error(session, lock, request_id, error)
         handle = session.mint_handle()
@@ -794,7 +781,6 @@ class Router(Server):
         (partitioning places *rows*, not tables). The exception is a
         graph view over partitioned sources, which only the coordinator
         can materialize (see the module docstring)."""
-        self._invalidate_plans()
         # validate sharding constraints before touching any state
         if isinstance(statement, ast.CreateGraphView):
             self.shard_map.register_graph_view(statement)  # may raise
@@ -819,6 +805,9 @@ class Router(Server):
                 self.shard_map.drop_table(statement.name)
             elif statement.kind == "GRAPH VIEW":
                 self.shard_map.drop_graph_view(statement.name)
+        # the routing plans depend on the shard map too: a read planned
+        # between the coordinator's DDL and the lines above is not kept
+        self.db.catalog.changed()
         if not self._ddl_reaches_shards(statement):
             return result
         targets = list(range(len(self.shard_addresses)))
@@ -1074,19 +1063,6 @@ class Router(Server):
 # ---------------------------------------------------------------------------
 # scatter merge
 # ---------------------------------------------------------------------------
-
-
-def _select_expressions(statement: ast.Select):
-    if statement.where is not None:
-        yield statement.where
-    if statement.having is not None:
-        yield statement.having
-    for item in statement.items:
-        yield item.expression
-    for group in statement.group_by:
-        yield group
-    for order in statement.order_by:
-        yield order.expression
 
 
 def _aggregate_calls(expression: ast.Expression) -> List[ast.FunctionCall]:

@@ -562,3 +562,74 @@ def walk_expression(expression: Optional[Expression]):
                 stack.extend((condition, result))
             if node.otherwise is not None:
                 stack.append(node.otherwise)
+
+
+def statement_expressions(statement: Statement):
+    """Every top-level expression of a SELECT / INSERT / UPDATE / DELETE
+    (select items, join conditions, WHERE, GROUP BY, HAVING, ORDER BY;
+    VALUES items and an INSERT's query; SET right-hand sides). Derived
+    tables and subqueries are not entered."""
+    if isinstance(statement, Select):
+        for item in statement.items:
+            yield item.expression
+        joins = [item for item in statement.from_items if isinstance(item, Join)]
+        while joins:
+            join = joins.pop()
+            if join.condition is not None:
+                yield join.condition
+            joins.extend(
+                side for side in (join.left, join.right) if isinstance(side, Join)
+            )
+        if statement.where is not None:
+            yield statement.where
+        yield from statement.group_by
+        if statement.having is not None:
+            yield statement.having
+        for order in statement.order_by:
+            yield order.expression
+    elif isinstance(statement, Insert):
+        for row in statement.rows:
+            yield from row
+        if statement.query is not None:
+            yield from statement_expressions(statement.query)
+    elif isinstance(statement, Update):
+        for _column, expression in statement.assignments:
+            yield expression
+        if statement.where is not None:
+            yield statement.where
+    elif isinstance(statement, Delete) and statement.where is not None:
+        yield statement.where
+
+
+#: Subquery expressions as the parser writes them.
+SUBQUERY_NODES = (InSubquery, ScalarSubquery, ExistsSubquery)
+
+
+def has_subquery(statement: Statement) -> bool:
+    """Whether a SELECT / INSERT / UPDATE / DELETE holds a subquery
+    expression, derived tables included. The planner runs an
+    uncorrelated subquery once, while it plans, so a plan holding one
+    answers for the data of that moment."""
+    for expression in statement_expressions(statement):
+        for node in walk_expression(expression):
+            if isinstance(node, SUBQUERY_NODES):
+                return True
+    query = statement.query if isinstance(statement, Insert) else statement
+    items = list(query.from_items) if isinstance(query, Select) else []
+    while items:
+        item = items.pop()
+        if isinstance(item, Join):
+            items += [item.left, item.right]
+        elif isinstance(item, SubquerySource) and has_subquery(item.query):
+            return True
+    return False
+
+
+def statement_parameters(statement: Statement) -> List[Parameter]:
+    """The statement's ``?`` placeholders, in index order."""
+    found = {}
+    for expression in statement_expressions(statement):
+        for node in walk_expression(expression):
+            if isinstance(node, Parameter):
+                found[node.index] = node
+    return [found[index] for index in sorted(found)]

@@ -22,13 +22,17 @@ preserve their written case, lookups elsewhere are case-insensitive):
 
 A token keeps its offset; line and column are derived from it when asked
 for, which only error messages do.
+
+:func:`statement_key` runs the same expression over a statement to key the
+statement cache: its shape (the text with each literal replaced by a typed
+placeholder) and the literal values, in order.
 """
 
 from __future__ import annotations
 
 import re
 from enum import Enum, auto
-from typing import Iterator, List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 from ..errors import SqlSyntaxError
 
@@ -64,7 +68,8 @@ KEYWORDS = frozenset(
 
 _MASTER = re.compile(
     r"""
-      (?P<SKIP>        \s+ | --[^\n]* | /\*[\s\S]*?\*/ )
+      (?P<SKIP>        \s+ )
+    | (?P<COMMENT>     --[^\n]* | /\*[\s\S]*?\*/ )
     | (?P<FLOAT>       \d+ (?: \.(?!\.)\d* (?:[eE][+-]?\d+)? | [eE][+-]?\d+ ) )
     | (?P<INTEGER>     \d+ )
     | (?P<WORD>        [^\W\d]\w* )
@@ -103,7 +108,7 @@ class Token:
     """``value`` is the token as written (quotes removed); ``upper`` is
     what keyword, operator and punctuation matching compares."""
 
-    __slots__ = ("type", "value", "upper", "_text", "_offset")
+    __slots__ = ("type", "value", "upper", "_text", "offset")
 
     def __init__(
         self, type_: TokenType, value: str, upper: str, text: str, offset: int
@@ -112,19 +117,19 @@ class Token:
         self.value = value
         self.upper = upper
         self._text = text
-        self._offset = offset
+        self.offset = offset
 
     @property
     def line(self) -> int:
-        return _position(self._text, self._offset)[0]
+        return _position(self._text, self.offset)[0]
 
     @property
     def column(self) -> int:
-        return _position(self._text, self._offset)[1]
+        return _position(self._text, self.offset)[1]
 
     def text_until(self, end: "Token") -> str:
         """The source text from this token up to (not including) ``end``."""
-        return self._text[self._offset:end._offset].rstrip()
+        return self._text[self.offset:end.offset].rstrip()
 
     def matches(self, type_: TokenType, value: Optional[str] = None) -> bool:
         if self.type is not type_:
@@ -154,7 +159,7 @@ class Lexer:
         # tile the text and nothing is skipped unseen
         for match in _MASTER.finditer(text):
             kind = match.lastgroup
-            if kind == "SKIP":
+            if kind == "SKIP" or kind == "COMMENT":
                 continue
             if kind == "WORD":
                 # Keywords keep their written case (matching is done
@@ -189,3 +194,52 @@ class Lexer:
                     _UNTERMINATED[kind], *_position(text, len(text))
                 )
         yield Token(TokenType.EOF, "", "", text, len(text))
+
+
+#: Token kinds that stand in a statement's shape as written.
+_SHAPE_KINDS = frozenset(("SKIP", "WORD", "OPERATOR", "PUNCTUATION"))
+
+#: The placeholder each literal kind leaves in a shape. ``\x00`` is a
+#: character no keyed text holds outside a literal: anywhere else it is a
+#: stray character, and texts with comments or quoted identifiers (which
+#: could hold anything) are not keyed — so no two texts share a shape
+#: unless they differ only in their literals' values.
+_PLACEHOLDERS = {"INTEGER": "\x00i", "FLOAT": "\x00f", "STRING": "\x00s"}
+
+
+def statement_key(
+    text: str,
+) -> Optional[Tuple[str, List[Any], List[int]]]:
+    """Key one statement for the statement cache, in one pass of the
+    lexer's own expression (so the key and the parser agree on what a
+    literal is): ``(shape, values, offsets)`` — the text with every
+    ``INTEGER`` / ``FLOAT`` / ``STRING`` token replaced by a placeholder
+    of its type, the literals' values as the parser reads them, and
+    where each literal starts. ``None`` for a text the cache does not
+    take: one with a comment, a quoted identifier, or no valid lexing.
+    """
+    pieces: List[str] = []
+    values: List[Any] = []
+    offsets: List[int] = []
+    copied = 0
+    for match in _MASTER.finditer(text):
+        kind = match.lastgroup
+        if kind in _SHAPE_KINDS:
+            continue
+        placeholder = _PLACEHOLDERS.get(kind)
+        if placeholder is None:
+            return None
+        start = match.start()
+        literal = match.group()
+        if kind == "INTEGER":
+            values.append(int(literal))
+        elif kind == "FLOAT":
+            values.append(float(literal))
+        else:
+            values.append(literal[1:-1].replace("''", "'"))
+        offsets.append(start)
+        pieces.append(text[copied:start])
+        pieces.append(placeholder)
+        copied = match.end()
+    pieces.append(text[copied:])
+    return "".join(pieces), values, offsets

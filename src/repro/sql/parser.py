@@ -15,7 +15,7 @@ Grammar highlights beyond plain SQL:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SqlSyntaxError
 from . import ast
@@ -39,6 +39,10 @@ class Parser:
         self._tokens: List[Token] = Lexer(text).tokens()
         self._position = 0
         self._parameter_count = 0
+        #: ``id`` of every literal parsed from a token -> the token's
+        #: offset: how the statement cache finds a literal's place in the
+        #: value vector of :func:`~repro.sql.lexer.statement_key`.
+        self.literal_offsets: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # token utilities
@@ -619,14 +623,11 @@ class Parser:
                 return self._parse_function_call(self._advance().value)
             return self._parse_field_access()
         if token.type is TokenType.INTEGER:
-            self._advance()
-            return ast.Literal(int(token.value))
+            return self._literal(int(token.value))
         if token.type is TokenType.FLOAT:
-            self._advance()
-            return ast.Literal(float(token.value))
+            return self._literal(float(token.value))
         if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.value)
+            return self._literal(token.value)
         if token.matches(TokenType.KEYWORD, "TRUE"):
             self._advance()
             return ast.Literal(True)
@@ -669,6 +670,12 @@ class Parser:
         if token.type is TokenType.KEYWORD and token.upper in _AGGREGATE_KEYWORDS:
             return self._parse_function_call(self._advance().value)
         raise self._error("expected an expression")
+
+    def _literal(self, value) -> ast.Literal:
+        """The literal the current token spells, its offset recorded."""
+        literal = ast.Literal(value)
+        self.literal_offsets[id(literal)] = self._advance().offset
+        return literal
 
     def _parse_case(self) -> ast.Expression:
         self._expect(TokenType.KEYWORD, "CASE")

@@ -25,6 +25,14 @@ class Catalog:
         self._index_owner: Dict[str, str] = {}
         # per-graph-view statistics, e.g. average fan-out (Section 6.3)
         self.statistics: Dict[str, Dict[str, float]] = {}
+        #: Bumped by every change a plan may depend on (every mutator
+        #: below, plus ALTER GRAPH VIEW and ANALYZE through
+        #: :meth:`changed`): a plan made under another version is stale.
+        self.version = 0
+
+    def changed(self) -> None:
+        """Record a change to the catalog or its statistics."""
+        self.version += 1
 
     # ------------------------------------------------------------------
     # tables
@@ -39,6 +47,7 @@ class Catalog:
             # reserve the implicit index's name like any CREATE INDEX name
             self.register_index(table.primary_key_index.name, name)
         self._tables[key] = table
+        self.changed()
         return table
 
     def drop_table(self, name: str) -> None:
@@ -49,6 +58,7 @@ class Catalog:
         for index_name in list(table.indexes):
             self._index_owner.pop(index_name.lower(), None)
         del self._tables[key]
+        self.changed()
 
     def table(self, name: str) -> Table:
         try:
@@ -71,12 +81,14 @@ class Catalog:
         if self._name_in_use(key):
             raise CatalogError(f"name already in use: {name}")
         self._views[key] = view
+        self.changed()
 
     def drop_view(self, name: str) -> None:
         key = name.lower()
         if key not in self._views:
             raise CatalogError(f"unknown view: {name}")
         del self._views[key]
+        self.changed()
 
     def view(self, name: str) -> Any:
         try:
@@ -96,12 +108,14 @@ class Catalog:
         if self._name_in_use(key):
             raise CatalogError(f"name already in use: {name}")
         self._graph_views[key] = graph_view
+        self.changed()
 
     def drop_graph_view(self, name: str) -> None:
         key = name.lower()
         if key not in self._graph_views:
             raise CatalogError(f"unknown graph view: {name}")
         del self._graph_views[key]
+        self.changed()
 
     def graph_view(self, name: str) -> Any:
         try:
@@ -124,6 +138,16 @@ class Catalog:
         if key in self._index_owner:
             raise CatalogError(f"duplicate index name: {index_name}")
         self._index_owner[key] = table_name.lower()
+        self.changed()
+
+    def drop_index(self, index_name: str) -> None:
+        """Drop an index from its table and free its name."""
+        owner = self.index_owner(index_name)
+        if owner is None:
+            raise CatalogError(f"unknown index: {index_name}")
+        self.table(owner).drop_index(index_name)
+        del self._index_owner[index_name.lower()]
+        self.changed()
 
     def index_owner(self, index_name: str) -> Optional[str]:
         return self._index_owner.get(index_name.lower())

@@ -129,14 +129,22 @@ class TestEncoding:
             "INSERT INTO t VALUES ('line1\nline2')",
             "INSERT INTO t VALUES ('trailing backslash \\')",
             "INSERT INTO t VALUES ('mixed \\n literal\nand real')",
+            "INSERT INTO t VALUES ('carriage\rreturn\r\n and \\r literal')",
             "\\",
             "ends with backslash\\",
         ],
     )
     def test_encode_decode_round_trip(self, sql):
         encoded = _encode(sql)
-        assert "\n" not in encoded  # one statement per line, always
+        assert "\n" not in encoded and "\r" not in encoded  # one per line
         assert _decode(encoded) == sql
+
+    def test_carriage_return_in_a_string_recovers(self, tmp_path):
+        db, log = make_logged_db(tmp_path)
+        db.execute("CREATE TABLE t (a VARCHAR)")
+        db.execute("INSERT INTO t VALUES ('a\rb')")
+        recovered = replay_log(str(log.path))
+        assert recovered.execute("SELECT a FROM t").scalar() == "a\rb"
 
 
 def _logged(sql):

@@ -274,6 +274,15 @@ class TestAccessPathGoldens:
         result = indexed.execute("EXPLAIN DELETE FROM m WHERE id = 3")
         assert result.rows == [("Delete(m)",), ("  IndexLookup(m.m_pkey)",)]
 
+    def test_explain_update_runs_no_set_subquery(self, indexed):
+        # the subquery yields many rows, so running it fails
+        sql = "UPDATE m SET b = (SELECT b FROM m) WHERE id = 3"
+        assert indexed.explain(sql).splitlines() == [
+            "Update(m)", "  IndexLookup(m.m_pkey)"
+        ]
+        with pytest.raises(ExecutionError):
+            indexed.execute(sql)
+
     def test_unqualified_column_in_a_join_owned_by_one_table(self, indexed):
         indexed.execute("CREATE TABLE n (nid INTEGER PRIMARY KEY, mid INTEGER)")
         indexed.load_rows("n", [(i, i % 5) for i in range(20)])

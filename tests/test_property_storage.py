@@ -5,14 +5,17 @@ Invariants checked under random operation sequences:
 * ``row_count`` equals the number of live rows;
 * the primary-key index always resolves to the row holding that key;
 * secondary indexes stay consistent with a brute-force scan;
-* tuple pointers either dereference to the current row or raise.
+* tuple pointers either dereference to the current row or raise;
+* DML and SELECT through the access paths answer what a scan answers,
+  and through the statement cache what the uncached path answers.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Database
-from repro.errors import ConstraintViolation, ExecutionError
+from repro.errors import ConstraintViolation, DatabaseError, ExecutionError
+from repro.sql import parse_statement
 from repro.storage import Column, HashIndex, Table, TableSchema
 from repro.types import SqlType
 
@@ -300,3 +303,67 @@ class TestDmlMatchesScanOracle:
         assert "SeqScan(s)" not in indexed.explain(sql)
         assert outcome(indexed, sql) == outcome(scanned, sql)
         assert sorted(indexed.table("s").rows()) == sorted(scanned.table("s").rows())
+
+
+# ---------------------------------------------------------------------------
+# the statement cache == the uncached path
+# ---------------------------------------------------------------------------
+
+cache_statements = st.lists(
+    st.one_of(
+        st.builds("SELECT k, h, o FROM t WHERE {}".format, predicates),
+        st.builds("SELECT COUNT(*), SUM(o) FROM t WHERE {}".format, predicates),
+        st.builds(
+            "SELECT k, o FROM t WHERE {} ORDER BY {} LIMIT {}".format,
+            predicates,
+            st.sampled_from(["1", "2, 1", "2 DESC, 1 DESC"]),
+            st.integers(min_value=1, max_value=4),
+        ),
+        st.builds("DELETE FROM t WHERE {}".format, predicates),
+        st.builds("UPDATE t SET h = o, o = {} WHERE {}".format, small, predicates),
+        st.builds("INSERT INTO t VALUES ({}, {}, {})".format, bound, small, small),
+        st.sampled_from([
+            "CREATE INDEX t_h ON t (h)",
+            "CREATE INDEX t_o ON t (o)",
+            "DROP INDEX t_h",
+            "DROP INDEX t_o",
+            "DROP TABLE t",
+            "CREATE TABLE t (k INTEGER PRIMARY KEY, h INTEGER, o INTEGER)",
+            "CREATE TABLE t (k INTEGER, h INTEGER, o INTEGER)",
+        ]),
+    ),
+    max_size=12,
+)
+
+
+def any_outcome(run, sql):
+    """Rows and rowcount, or the kind of error."""
+    try:
+        result = run(sql)
+    except DatabaseError as error:
+        return type(error)
+    return result.rowcount, result.rows
+
+
+class TestStatementCacheMatchesUncached:
+    @given(table_rows, cache_statements)
+    @settings(max_examples=120, deadline=None)
+    def test_same_rows_and_rowcounts(self, rows, sqls):
+        """A random DML / SELECT / DDL sequence, run twice over: through
+        ``execute`` (cached plans, re-planned after DDL) and through
+        ``execute_parsed`` of a fresh parse on a twin database."""
+        cached, twin = Database(), Database()
+        for database in (cached, twin):
+            database.execute(
+                "CREATE TABLE t (k INTEGER PRIMARY KEY, h INTEGER, o INTEGER)"
+            )
+            database.load_rows("t", rows)
+        for sql in sqls + sqls:
+            assert any_outcome(cached.execute, sql) == any_outcome(
+                lambda text: twin.execute_parsed(parse_statement(text), text),
+                sql,
+            ), sql
+        if twin.catalog.has_table("t"):
+            assert sorted(cached.table("t").rows(), key=repr) == sorted(
+                twin.table("t").rows(), key=repr
+            )

@@ -106,3 +106,33 @@ def test_replay_determinism_with_framed_log(tmp_path):
     report = replayed_framed.recovery_report
     assert report.last_epoch == 3
     assert report.last_sequence == report.statements_replayed
+
+
+def test_warm_cache_primary_and_replaying_replica_agree(tmp_path):
+    """A primary whose DML runs from cached plans, and a replica that
+    replays its log — where the same texts meet a cache of their own —
+    end in the same state."""
+    from repro.observability.metrics import (
+        get_registry,
+        metrics_enabled,
+        set_enabled,
+    )
+
+    was_enabled = metrics_enabled()
+    set_enabled(True)
+    try:
+        hits = get_registry().value("repro_statement_cache_hits_total") or 0
+        primary = Database()
+        log = enable_command_log(primary, str(tmp_path / "primary.log"), epoch=1)
+        workload = generate_workload(2024)
+        for sql in workload:
+            primary.execute(sql)
+        warm = get_registry().value("repro_statement_cache_hits_total") - hits
+        assert warm > len(workload) // 2, "the primary's cache must be warm"
+        log.detach()
+    finally:
+        set_enabled(was_enabled)
+    replica = Database()
+    replica.set_role("replica")
+    replay_log(str(log.path), replica)
+    assert database_digest(replica) == database_digest(primary)
