@@ -195,6 +195,7 @@ class CancellationToken:
         "peak_undo_depth",
         "cancelled",
         "cancel_reason",
+        "probe",
         "_clock",
         "_ticks",
     )
@@ -220,6 +221,9 @@ class CancellationToken:
         self.peak_undo_depth = 0
         self.cancelled = False
         self.cancel_reason: Optional[str] = None
+        #: Called at every full check: a hook that may ``cancel()`` this
+        #: token (the network server looks for a vanished client there).
+        self.probe: Optional[Callable[[], None]] = None
         self._ticks = 0
 
     # ------------------------------------------------------------------
@@ -234,7 +238,10 @@ class CancellationToken:
         self.cancel_reason = reason
 
     def check(self) -> None:
-        """Full check: externally cancelled, then past the deadline."""
+        """Full check: the probe, externally cancelled, then past the
+        deadline."""
+        if self.probe is not None and not self.cancelled:
+            self.probe()
         if self.cancelled:
             raise QueryCancelledError(
                 self.cancel_reason or "query cancelled"
@@ -248,10 +255,10 @@ class CancellationToken:
     def tick(self, weight: int = 1) -> None:
         """Generic progress tick with an amortized deadline check.
 
-        External cancellation (``token.cancel()`` — e.g. a client
-        disconnect observed by the server's reader thread) is honoured
-        on the *very next* tick: the cancelled flag is one attribute
-        test, so only the clock read is amortized.
+        External cancellation (``token.cancel()`` — e.g. a server
+        shutting down) is honoured on the *very next* tick: the
+        cancelled flag is one attribute test, so only the clock read and
+        the probe are amortized.
         """
         self._ticks += weight
         if self.cancelled or (self._ticks & _CHECK_MASK) == 0:

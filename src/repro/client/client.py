@@ -246,6 +246,8 @@ class Client:
             "replica_fallbacks": 0,
         }
         self._sock: Optional[socket.socket] = None
+        #: The connection's buffered frame reader (set with ``_sock``).
+        self._frames: Optional[protocol.FrameReader] = None
         self._lock = threading.Lock()
         self._next_id = 0
         #: Server-assigned session name, role, and node (from HELLO_OK).
@@ -404,6 +406,7 @@ class Client:
 
     def _adopt_connection(self, sock, reply, address) -> None:
         self._sock = sock
+        self._frames = protocol.FrameReader(sock)
         self.host, self.port = address
         self.session_name = reply.get("session")
         self.server_role = reply.get("role")
@@ -442,13 +445,13 @@ class Client:
         with self._replica_lock:
             self._drop_replica_locked()
         with self._lock:
-            sock = self._sock
-            self._sock = None
+            sock, frames = self._sock, self._frames
+            self._sock = self._frames = None
             if sock is None:
                 return
             try:
                 protocol.send_frame(sock, {"type": "CLOSE"})
-                protocol.read_frame(sock)  # GOODBYE (best effort)
+                frames.read_frame()  # GOODBYE (best effort)
             except (OSError, ProtocolError):
                 pass
             finally:
@@ -892,7 +895,7 @@ class Client:
         frames = []
         while True:
             try:
-                frame = protocol.read_frame(self._sock)
+                frame = self._frames.read_frame()
             except (OSError, ProtocolError, socket.timeout) as error:
                 raise ClientConnectionError(f"receive failed: {error}")
             if frame is None:
@@ -916,7 +919,7 @@ class Client:
                 self._sock.close()
             except OSError:
                 pass
-            self._sock = None
+            self._sock = self._frames = None
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"

@@ -187,13 +187,17 @@ class MetricsRegistry:
     Re-registering a name with a different metric kind is an error —
     that is always an instrumentation bug, not a runtime condition.
 
-    Handle acquisition and the read-side views hold the registry lock;
-    updates through an acquired handle take only that metric's own
-    lock, so hot seams can cache handles and never contend here.
+    The first acquisition of a handle and the read-side views hold the
+    registry lock; a repeat acquisition is one unlocked dict lookup, and
+    updates through a handle take only that metric's own lock, so hot
+    seams never contend here.
     """
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
+        #: ``(name, kind, *label items)`` -> ``(child, family)`` for
+        #: calls already checked once; read without the lock.
+        self._handles: Dict[tuple, Tuple[Any, _Family]] = {}
         self._lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -219,6 +223,18 @@ class MetricsRegistry:
     def _child(
         self, name: str, kind: str, help_text: str, labels: Dict[str, str], make
     ):
+        # a repeat call is one unlocked lookup; the first call (and any
+        # call with an unhashable label value) takes the checked path
+        handle = (name, kind, *labels.items())
+        try:
+            hit = self._handles.get(handle)
+        except TypeError:
+            hit = handle = None
+        if hit is not None:
+            child, family = hit
+            if help_text and not family.help:
+                family.help = help_text
+            return child
         for label in labels:
             if not _LABEL_RE.match(label):
                 raise ValueError(f"invalid label name: {label!r}")
@@ -229,6 +245,8 @@ class MetricsRegistry:
             if child is None:
                 child = make()
                 family.children[key] = child
+            if handle is not None:
+                self._handles[handle] = (child, family)
             return child
 
     def counter(self, name: str, help: str = "", **labels: Any) -> Counter:
@@ -341,6 +359,7 @@ class MetricsRegistry:
         """Drop every metric (test isolation)."""
         with self._lock:
             self._families.clear()
+            self._handles.clear()
 
 
 def _render_labels(key: Iterable[Tuple[str, str]]) -> str:

@@ -210,9 +210,17 @@ def error_code_for(error: BaseException) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: ``json.dumps(message, separators=(",", ":"))`` without building a new
+#: encoder per frame.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+#: Bytes asked of one ``recv`` by the buffered reader.
+_RECV_BYTES = 1 << 16
+
+
 def encode_frame(message: Dict[str, Any]) -> bytes:
     """Serialize one message into a length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _ENCODER.encode(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload of {len(payload)} bytes exceeds the "
@@ -224,6 +232,23 @@ def encode_frame(message: Dict[str, Any]) -> bytes:
 def send_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Encode and transmit one frame (callers serialize access)."""
     sock.sendall(encode_frame(message))
+
+
+def _check_length(length: int) -> None:
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
+
+
+def _decode_payload(payload) -> Dict[str, Any]:
+    try:
+        message = json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProtocolError(f"frame payload is not valid JSON: {error}")
+    if not isinstance(message, dict) or "type" not in message:
+        raise ProtocolError("frame payload must be an object with a 'type'")
+    return message
 
 
 def _recv_exactly(sock: socket.socket, count: int) -> Optional[bytes]:
@@ -255,20 +280,80 @@ def read_frame(sock: socket.socket) -> Optional[Dict[str, Any]]:
     if header is None:
         return None
     (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
+    _check_length(length)
     payload = _recv_exactly(sock, length) if length else b""
     if payload is None:
         raise ProtocolError("connection closed between length and payload")
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"frame payload is not valid JSON: {error}")
-    if not isinstance(message, dict) or "type" not in message:
-        raise ProtocolError("frame payload must be an object with a 'type'")
-    return message
+    return _decode_payload(payload)
+
+
+class FrameReader:
+    """Buffered frames from one socket: one ``recv`` per burst of frames.
+
+    :func:`read_frame` reads exactly one frame and nothing past it (two
+    ``recv`` calls or more); this reader takes whatever has arrived and
+    hands it out frame by frame, so a response's ``RESULT_HEAD`` /
+    ``ROWS`` / ``RESULT_END`` or a client's pipelined requests cost one
+    ``recv``. Use one reader per connection for its whole life: bytes it
+    has buffered are not in the socket any more. Outcomes and error
+    messages are :func:`read_frame`'s.
+    """
+
+    __slots__ = ("sock", "buffer")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.buffer = bytearray()
+
+    def read_frame(self) -> Optional[Dict[str, Any]]:
+        """The next frame; None on clean EOF at a frame boundary."""
+        buffer = self.buffer
+        while True:
+            have = len(buffer)
+            if have >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buffer)
+                _check_length(length)
+                end = _LENGTH.size + length
+                if have >= end:
+                    payload = buffer[_LENGTH.size:end]
+                    del buffer[:end]
+                    return _decode_payload(payload)
+            chunk = self.sock.recv(_RECV_BYTES)
+            if not chunk:
+                return self._eof()
+            buffer += chunk
+
+    def poll(self) -> bool:
+        """Move what the peer has sent into the buffer without blocking.
+
+        False once the peer is gone (EOF or a socket error); True while
+        it is connected, whether or not anything arrived.
+        """
+        try:
+            chunk = self.sock.recv(_RECV_BYTES, socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        self.buffer += chunk
+        return bool(chunk)
+
+    def _eof(self) -> None:
+        have = len(self.buffer)
+        if not have:
+            return None
+        if have < _LENGTH.size:
+            raise ProtocolError(
+                f"connection closed mid-frame ({have} of "
+                f"{_LENGTH.size} bytes received)"
+            )
+        if have == _LENGTH.size:
+            raise ProtocolError("connection closed between length and payload")
+        (length,) = _LENGTH.unpack_from(self.buffer)
+        raise ProtocolError(
+            f"connection closed mid-frame ({have - _LENGTH.size} of "
+            f"{length} bytes received)"
+        )
 
 
 # ---------------------------------------------------------------------------

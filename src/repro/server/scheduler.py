@@ -145,6 +145,9 @@ class WriteTicket:
 
 _STOP = object()
 
+#: How often a session waiting on its write runs the token's probe.
+_PROBE_WAIT_S = 0.001
+
 
 class SingleWriterScheduler:
     """The write queue, its executor thread, and the read gate."""
@@ -250,26 +253,51 @@ class SingleWriterScheduler:
         cancelled and the caller gets :class:`QueryTimeoutError` —
         once a ticket *starts*, the wait is unbounded (the executor
         always completes a started statement, and the token's own
-        deadline aborts it from inside if it runs long)."""
+        deadline aborts it from inside if it runs long).
+
+        The token's probe runs here, on the waiting thread, every
+        ``_PROBE_WAIT_S``: a token it cancels before the ticket starts
+        ends the wait with :class:`QueryCancelledError` and the executor
+        skips the ticket; one it cancels later aborts the running write
+        at its next check.
+        """
         ticket = self.submit_write(fn, token, session)
-        deadline = token.deadline if token is not None else None
-        if deadline is None:
+        if token is None:
             ticket.done.wait()
         else:
-            remaining = deadline - token._clock()
-            if not ticket.done.wait(timeout=max(0.0, remaining)):
-                if not ticket.started:
-                    # never ran: cancel so the executor skips it outright
-                    token.cancel("queued past its deadline")
-                    raise QueryTimeoutError(
-                        "statement spent its whole "
-                        f"timeout_ms={token.budget.timeout_ms:g} budget "
-                        "waiting in the write queue"
-                    )
-                ticket.done.wait()  # started: let the token's deadline abort it
+            self._await(ticket, token)
         if ticket.error is not None:
             raise ticket.error
         return ticket.result
+
+    @staticmethod
+    def _await(ticket: WriteTicket, token: CancellationToken) -> None:
+        probe = token.probe
+        while True:
+            timeout = None if probe is None else _PROBE_WAIT_S
+            if token.deadline is not None and not ticket.started:
+                remaining = max(0.0, token.deadline - token._clock())
+                timeout = remaining if timeout is None else min(timeout, remaining)
+            if ticket.done.wait(timeout):
+                return
+            if probe is not None and not token.cancelled:
+                probe()
+            if ticket.started:
+                continue
+            # the executor marks a ticket started before it tests the
+            # token, so a ticket cancelled and still not started is one
+            # the executor will skip
+            if token.cancelled:
+                raise _cancelled_error(token)
+            if token.deadline is None or token._clock() < token.deadline:
+                continue
+            token.cancel("queued past its deadline")
+            if not ticket.started:
+                raise QueryTimeoutError(
+                    "statement spent its whole "
+                    f"timeout_ms={token.budget.timeout_ms:g} budget "
+                    "waiting in the write queue"
+                )
 
     # ------------------------------------------------------------------
 
@@ -279,13 +307,15 @@ class SingleWriterScheduler:
             if ticket is _STOP:
                 return
             self._depth_gauge()
+            # started before the cancelled test: a submitter that cancels
+            # and then sees started False knows this ticket is skipped
+            ticket.started = True
             token = ticket.token
             if token is not None and token.cancelled:
                 # the client vanished (or timed out) while this waited
                 ticket.error = _cancelled_error(token)
                 ticket.done.set()
                 continue
-            ticket.started = True
             if ticket.trace is not None:
                 # queue wait: submit -> start, attributed to the trace
                 observability_tracing.record_span(

@@ -1,34 +1,37 @@
 """The network server: sessions, dispatch, and disconnect cancellation.
 
-Threading model (two threads per connection, plus the single writer):
+Threading model (one thread per connection, plus the single writer):
 
-* the **worker** thread owns the session — it reads nothing from the
-  socket; it pops requests from the session's inbox, executes them
-  (reads inline under the scheduler's shared lock, writes via the
-  single-writer queue) and sends every response frame;
-* the **reader** thread owns the socket's receive side — it parses
-  frames into the inbox, and because it is *always* parked in
-  ``recv()`` (even while a statement runs), a client disconnect is
-  noticed immediately and translated into ``token.cancel()`` on
-  whatever that session is executing. The cancelled traversal unwinds
-  at its next budget tick; nothing server-side waits on a dead peer.
+* the **session** thread is the thread that ran the connection's
+  handshake, renamed ``repro-session-<name>``. It reads a request
+  (through the session's buffered :class:`~repro.server.protocol.
+  FrameReader`), runs it — reads inline under the scheduler's shared
+  lock, writes through the single-writer queue — and answers with one
+  ``sendall`` holding every frame of the response (a response past
+  ``_FLUSH_BYTES`` goes out in pieces of that size, so a large
+  ``PATHS`` result is not held twice). Only this thread touches the
+  socket.
+* **disconnect cancellation** rides the statement's own budget checks:
+  every statement runs under a :class:`~repro.budget.CancellationToken`
+  (an unlimited one when no budget level is configured) whose probe,
+  at most once per ``_PROBE_INTERVAL_S``, takes whatever the client has
+  sent without blocking. EOF or a socket error cancels the statement,
+  so a client that dies is noticed within 64 ticks and 1 ms of
+  statement time. A session waiting on a queued write probes from its
+  wait loop, so a write whose client has gone is skipped before it
+  starts.
 
-Every statement runs under a :class:`~repro.budget.CancellationToken`
-— when no budget level is configured the token is unlimited, but it
-still gives the reader thread a cancellation point, so "kill the
-client" always stops the query.
-
-Sessions die cleanly: worker exit removes the session from the
-registry, closes the socket (unblocking the reader), rolls back any
-transaction the session left open, and drops its prepared statements.
+Sessions die cleanly: the session thread's exit removes the session
+from the registry, closes the socket, rolls back any transaction the
+session left open, and drops its prepared statements.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
-from typing import Any, Dict, Optional, Tuple
+import time
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..budget import CancellationToken, QueryBudget
 from ..core.database import Database, PreparedQuery, statement_is_write
@@ -37,7 +40,6 @@ from ..errors import (
     NotPrimaryError,
     PlanningError,
     ProtocolError,
-    ShuttingDownError,
 )
 from ..observability import context as observability_context
 from ..observability import events as observability_events
@@ -47,32 +49,66 @@ from . import protocol
 from .protocol import ROW_BATCH, error_code_for
 from .scheduler import SingleWriterScheduler
 
-_POISON = object()  # inbox sentinel: reader is gone, worker must exit
+#: A response is sent in one write unless it grows past this many bytes.
+_FLUSH_BYTES = 1 << 20
+
+#: Least time between two disconnect probes of one running statement.
+_PROBE_INTERVAL_S = 0.001
 
 
 class Session:
-    """One authenticated connection: its socket, budget, and statements."""
+    """One authenticated connection: its socket, budget, and statements.
+
+    The thread that registers a session serves it, and only that thread
+    reads or writes its socket and frame buffer.
+    """
 
     def __init__(self, name: str, sock: socket.socket, address):
         self.name = name
         self.sock = sock
         self.address = address
-        #: Frames parsed by the reader, consumed by the worker.
-        self.inbox: "queue.Queue" = queue.Queue()
+        #: The client's frames: requests, and whatever a probe took in
+        #: while a statement ran.
+        self.frames = protocol.FrameReader(sock)
         #: Session-level budget (SET_BUDGET), tightened into every statement.
         self.budget: Optional[QueryBudget] = None
         #: Token of the statement this session is executing right now —
-        #: the reader cancels it when the client disconnects.
+        #: its probe cancels it when the client disconnects.
         self.active_token: Optional[CancellationToken] = None
         self.disconnected = False
         #: handle -> PreparedQuery, handles minted by PREPARE.
         self.prepared: Dict[str, Any] = {}
         self._next_handle = 0
         self.statements = 0
+        self._thread = threading.get_ident()
+        self._next_probe = 0.0
 
     def mint_handle(self) -> str:
         self._next_handle += 1
         return f"s{self._next_handle}"
+
+    def watch(self, token: CancellationToken) -> None:
+        """Make ``token`` the running statement's: the one a disconnect
+        cancels, found by its own budget checks."""
+        token.probe = self.probe
+        self.active_token = token
+
+    def probe(self) -> None:
+        """At most once per ``_PROBE_INTERVAL_S``, take what the client
+        has sent without blocking; EOF or a socket error cancels the
+        active statement."""
+        if threading.get_ident() != self._thread:
+            return  # the writer running this session's write
+        now = time.monotonic()
+        if now < self._next_probe:
+            return
+        self._next_probe = now + _PROBE_INTERVAL_S
+        if self.frames.poll():
+            return
+        self.disconnected = True
+        token = self.active_token
+        if token is not None:
+            token.cancel("client disconnected")
 
     def __repr__(self) -> str:
         return f"Session({self.name!r}, peer={self.address!r})"
@@ -243,12 +279,12 @@ class Server:
             ).start()
 
     def _handshake(self, sock: socket.socket, address) -> None:
-        """Run HELLO/AUTH on a fresh connection, then promote it to a
-        session with its reader and worker threads."""
+        """Run HELLO/AUTH on a fresh connection, then serve it as a
+        session on this thread."""
         try:
             hello = protocol.read_frame(sock)
         except ProtocolError as error:
-            self._send_safely(sock, threading.Lock(), {
+            self._send_safely(sock, {
                 "type": "ERROR", "code": "PROTOCOL_ERROR", "message": str(error),
             })
             sock.close()
@@ -256,9 +292,8 @@ class Server:
         if hello is None:
             sock.close()
             return
-        lock = threading.Lock()
         if hello.get("type") != "HELLO":
-            self._send_safely(sock, lock, {
+            self._send_safely(sock, {
                 "type": "ERROR",
                 "code": "PROTOCOL_ERROR",
                 "message": "first frame must be HELLO",
@@ -267,7 +302,7 @@ class Server:
             return
         if self.auth_token is not None and hello.get("auth") != self.auth_token:
             self._count_error("AUTH_FAILED")
-            self._send_safely(sock, lock, {
+            self._send_safely(sock, {
                 "type": "ERROR",
                 "code": "AUTH_FAILED",
                 "message": "authentication token rejected",
@@ -285,22 +320,11 @@ class Server:
         if self.cluster is not None:
             hello_ok["node"] = self.cluster.name
             hello_ok["leader"] = self.cluster.leader_hint()
-        self._send_safely(sock, lock, hello_ok)
-        reader = threading.Thread(
-            target=self._reader_loop,
-            args=(session,),
-            name=f"repro-read-{session.name}",
-            daemon=True,
-        )
-        worker = threading.Thread(
-            target=self._worker_loop,
-            args=(session, lock),
-            name=f"repro-work-{session.name}",
-            daemon=True,
-        )
-        self._session_threads.extend((reader, worker))
-        reader.start()
-        worker.start()
+        self._send_safely(sock, hello_ok)
+        thread = threading.current_thread()
+        thread.name = f"repro-session-{session.name}"
+        self._session_threads.append(thread)
+        self._serve(session)
 
     def _register_session(self, hello, sock, address) -> Session:
         with self._sessions_lock:
@@ -318,73 +342,51 @@ class Server:
         return session
 
     # ------------------------------------------------------------------
-    # reader: socket -> inbox, disconnect -> cancel
+    # session: read a request, run it, answer
     # ------------------------------------------------------------------
 
-    def _reader_loop(self, session: Session) -> None:
-        try:
-            while True:
-                message = protocol.read_frame(session.sock)
-                if message is None:
-                    break  # clean EOF
-                session.inbox.put(message)
-                if message.get("type") == "CLOSE":
-                    return  # worker closes the socket after GOODBYE
-        except (ProtocolError, OSError):
-            pass
-        # The peer is gone (or sent garbage). Cancel whatever this
-        # session is executing and tell the worker to wind down.
-        session.disconnected = True
-        token = session.active_token
-        if token is not None:
-            token.cancel("client disconnected")
-        session.inbox.put(_POISON)
-
-    # ------------------------------------------------------------------
-    # worker: inbox -> execute -> response frames
-    # ------------------------------------------------------------------
-
-    def _worker_loop(self, session: Session, lock: threading.Lock) -> None:
+    def _serve(self, session: Session) -> None:
         # every statement this thread runs inline (the read path) is
         # attributed to this session in the slow-query log, and every
         # span it records carries this node's name
         observability_context.set_session_label(session.name)
         observability_tracing.set_node_label(self._node_name() or "")
         try:
-            while True:
-                request = session.inbox.get()
-                if request is _POISON or session.disconnected:
-                    return
-                if not self._dispatch(session, lock, request):
+            while not session.disconnected:
+                try:
+                    request = session.frames.read_frame()
+                except (ProtocolError, OSError):
+                    return  # the peer is gone, or sent garbage
+                if request is None or not self._dispatch(session, request):
                     return
         finally:
             self._teardown(session)
 
-    def _dispatch(self, session, lock, request) -> bool:
+    def _dispatch(self, session, request) -> bool:
         """Handle one request; False ends the session."""
         kind = request.get("type")
         self._inc_counter("repro_server_requests_total", type=str(kind))
         if kind in ("QUERY", "EXECUTE"):
-            return self._handle_statement(session, lock, request)
+            return self._handle_statement(session, request)
         if kind == "PREPARE":
-            return self._handle_prepare(session, lock, request)
+            return self._handle_prepare(session, request)
         if kind == "SET_BUDGET":
-            return self._handle_set_budget(session, lock, request)
+            return self._handle_set_budget(session, request)
         if kind == "METRICS":
             text = get_registry().render_prometheus(request.get("filter"))
-            return self._send_safely(session.sock, lock, {
+            return self._send_safely(session.sock, {
                 "type": "METRICS", "text": text,
             })
         if kind == "HEALTH":
             return self._send_safely(
-                session.sock, lock, self._health_message(request.get("id"))
+                session.sock, self._health_message(request.get("id"))
             )
         if kind == "CLUSTER_STATE":
             return self._send_safely(
-                session.sock, lock, self._cluster_state_message(request.get("id"))
+                session.sock, self._cluster_state_message(request.get("id"))
             )
         if kind == "TRACES":
-            return self._send_safely(session.sock, lock, {
+            return self._send_safely(session.sock, {
                 "type": "TRACES",
                 "id": request.get("id"),
                 "node": self._node_name(),
@@ -394,7 +396,7 @@ class Server:
                 ),
             })
         if kind == "EVENTS":
-            return self._send_safely(session.sock, lock, {
+            return self._send_safely(session.sock, {
                 "type": "EVENTS",
                 "id": request.get("id"),
                 "node": self._node_name(),
@@ -405,7 +407,7 @@ class Server:
             })
         if kind == "SLOWLOG":
             slow = self.db.slow_queries
-            return self._send_safely(session.sock, lock, {
+            return self._send_safely(session.sock, {
                 "type": "SLOWLOG",
                 "id": request.get("id"),
                 "node": self._node_name(),
@@ -415,19 +417,19 @@ class Server:
         if kind == "SHARD_STATE":
             # a plain server is not a router: it answers with its own
             # shard identity (or none), so probes need no special case
-            return self._send_safely(session.sock, lock, {
+            return self._send_safely(session.sock, {
                 "type": "SHARD_STATE",
                 "id": request.get("id"),
                 "sharded": False,
                 "shard": self.shard_info,
             })
         if kind == "PING":
-            return self._send_safely(session.sock, lock, {"type": "PONG"})
+            return self._send_safely(session.sock, {"type": "PONG"})
         if kind == "CLOSE":
-            self._send_safely(session.sock, lock, {"type": "GOODBYE"})
+            self._send_safely(session.sock, {"type": "GOODBYE"})
             return False
         self._count_error("UNSUPPORTED")
-        return self._send_safely(session.sock, lock, {
+        return self._send_safely(session.sock, {
             "type": "ERROR",
             "id": request.get("id"),
             "code": "UNSUPPORTED",
@@ -436,13 +438,13 @@ class Server:
 
     # -- statements -----------------------------------------------------
 
-    def _handle_statement(self, session, lock, request) -> bool:
+    def _handle_statement(self, session, request) -> bool:
         request_id = request.get("id")
         try:
             result = self._run_statement(session, request)
         except BaseException as error:
-            return self._send_error(session, lock, request_id, error)
-        return self._send_result(session, lock, request_id, result)
+            return self._send_error(session, request_id, error)
+        return self._send_frames(session.sock, _result_frames(request_id, result))
 
     def _run_statement(self, session: Session, request):
         cluster = self.cluster
@@ -453,8 +455,8 @@ class Server:
             session.budget,
             statement_budget,
         )
-        # Always a token — an unlimited one still carries the reader
-        # thread's disconnect cancellation into the operator loops.
+        # Always a token — an unlimited one still carries the session's
+        # disconnect probe into the operator loops.
         token = effective.start() if effective is not None else CancellationToken()
         if request.get("type") == "EXECUTE":
             runner, is_write = self._prepared_runner(session, request, token)
@@ -483,8 +485,6 @@ class Server:
             runner = lambda: self.db.execute_parsed(  # noqa: E731
                 executable, sql, token=token
             )
-        if session.disconnected:
-            raise ShuttingDownError("client disconnected")
         # Adopt the client's trace context: the statement's server-side
         # spans (queue wait, execution, fsync, replication) all parent
         # under this session span, which parents under the client span.
@@ -495,7 +495,7 @@ class Server:
             )
             if stamped is not None and stamped.sampled:
                 server_trace = stamped.child()
-        session.active_token = token
+        session.watch(token)
         session.statements += 1
         try:
             with observability_tracing.activate(server_trace), \
@@ -542,29 +542,7 @@ class Server:
         # only SELECTs can be prepared, so EXECUTE is always a read
         return (lambda: prepared.execute(*params, token=token)), False
 
-    def _send_result(self, session, lock, request_id, result) -> bool:
-        columns = list(result.columns or [])
-        rows = result.rows or []
-        if not self._send_safely(session.sock, lock, {
-            "type": "RESULT_HEAD", "id": request_id, "columns": columns,
-        }):
-            return False
-        for start in range(0, len(rows), ROW_BATCH):
-            batch = rows[start:start + ROW_BATCH]
-            if not self._send_safely(session.sock, lock, {
-                "type": "ROWS",
-                "id": request_id,
-                "rows": [protocol.jsonable_row(row) for row in batch],
-            }):
-                return False
-        return self._send_safely(session.sock, lock, {
-            "type": "RESULT_END",
-            "id": request_id,
-            "rows": len(rows),
-            "rowcount": result.rowcount,
-        })
-
-    def _send_error(self, session, lock, request_id, error) -> bool:
+    def _send_error(self, session, request_id, error) -> bool:
         code = error_code_for(error)
         self._count_error(code)
         if not isinstance(error, (DatabaseError, ProtocolError)):
@@ -582,7 +560,7 @@ class Server:
         shard_hint = getattr(error, "shard_hint", None)
         if shard_hint is not None:
             frame["shard_hint"] = shard_hint
-        return self._send_safely(session.sock, lock, frame)
+        return self._send_safely(session.sock, frame)
 
     def _health_message(self, request_id=None) -> Dict[str, Any]:
         """The HEALTH response: the engine's health state plus, when a
@@ -630,7 +608,7 @@ class Server:
 
     # -- small requests -------------------------------------------------
 
-    def _handle_prepare(self, session, lock, request) -> bool:
+    def _handle_prepare(self, session, request) -> bool:
         request_id = request.get("id")
         sql = request.get("sql")
         try:
@@ -644,10 +622,10 @@ class Server:
                     "only SELECT statements can be prepared over the wire"
                 )
         except BaseException as error:
-            return self._send_error(session, lock, request_id, error)
+            return self._send_error(session, request_id, error)
         handle = session.mint_handle()
         session.prepared[handle] = prepared
-        return self._send_safely(session.sock, lock, {
+        return self._send_safely(session.sock, {
             "type": "PREPARED",
             "id": request_id,
             "statement": handle,
@@ -655,13 +633,13 @@ class Server:
             "columns": prepared.column_names,
         })
 
-    def _handle_set_budget(self, session, lock, request) -> bool:
+    def _handle_set_budget(self, session, request) -> bool:
         request_id = request.get("id")
         try:
             session.budget = protocol.budget_from_wire(request.get("budget"))
         except ProtocolError as error:
-            return self._send_error(session, lock, request_id, error)
-        return self._send_safely(session.sock, lock, {
+            return self._send_error(session, request_id, error)
+        return self._send_safely(session.sock, {
             "type": "OK",
             "id": request_id,
             "budget": protocol.budget_to_wire(session.budget),
@@ -699,12 +677,41 @@ class Server:
         except OSError:
             pass
 
-    def _send_safely(self, sock, lock, message) -> bool:
+    def _send_safely(self, sock, message) -> bool:
         """Send one frame; False (not an exception) when the peer died —
         the caller winds the session down."""
+        return self._send_frames(sock, (message,))
+
+    def _send_frames(self, sock, messages: Iterable[Dict[str, Any]]) -> bool:
+        """Send a response in one write, or in ``_FLUSH_BYTES`` pieces
+        when it is larger; False when the peer died.
+
+        A message too large for one frame ends the response with a
+        ``PROTOCOL_ERROR`` frame (the client stops reading a response at
+        its ``ERROR``), and the session goes on.
+        """
+        chunks = []
+        size = 0
         try:
-            with lock:
-                protocol.send_frame(sock, message)
+            for message in messages:
+                try:
+                    frame = protocol.encode_frame(message)
+                except ProtocolError as error:
+                    self._count_error("PROTOCOL_ERROR")
+                    chunks.append(protocol.encode_frame({
+                        "type": "ERROR",
+                        "id": message.get("id"),
+                        "code": "PROTOCOL_ERROR",
+                        "message": str(error),
+                    }))
+                    break
+                chunks.append(frame)
+                size += len(frame)
+                if size >= _FLUSH_BYTES:
+                    sock.sendall(b"".join(chunks))
+                    chunks, size = [], 0
+            if chunks:
+                sock.sendall(b"".join(chunks))
             return True
         except OSError:
             return False
@@ -726,6 +733,31 @@ class Server:
 
     def _node_name(self) -> Optional[str]:
         return self.cluster.name if self.cluster is not None else None
+
+
+def _result_frames(request_id, result) -> Iterable[Dict[str, Any]]:
+    """``RESULT_HEAD``, a ``ROWS`` frame per ``ROW_BATCH`` rows, then
+    ``RESULT_END`` — built one at a time as they are encoded."""
+    rows = result.rows or []
+    yield {
+        "type": "RESULT_HEAD", "id": request_id,
+        "columns": list(result.columns or []),
+    }
+    for start in range(0, len(rows), ROW_BATCH):
+        yield {
+            "type": "ROWS",
+            "id": request_id,
+            "rows": [
+                protocol.jsonable_row(row)
+                for row in rows[start:start + ROW_BATCH]
+            ],
+        }
+    yield {
+        "type": "RESULT_END",
+        "id": request_id,
+        "rows": len(rows),
+        "rowcount": result.rowcount,
+    }
 
 
 def _wire_str(value: Any) -> Optional[str]:

@@ -76,7 +76,6 @@ from ..errors import (
     ProtocolError,
     RemoteError,
     ShardUnavailableError,
-    ShuttingDownError,
 )
 from ..executor.aggregates import _NullAwareKey
 from ..expr.compile import ExpressionCompiler
@@ -304,13 +303,12 @@ class Router(Server):
     # dispatch: SHARD_STATE
     # ------------------------------------------------------------------
 
-    def _dispatch(self, session, lock, request) -> bool:
+    def _dispatch(self, session, request) -> bool:
         if request.get("type") == "SHARD_STATE":
             return self._send_safely(
-                session.sock, lock,
-                self._shard_state_message(request.get("id")),
+                session.sock, self._shard_state_message(request.get("id")),
             )
-        return super()._dispatch(session, lock, request)
+        return super()._dispatch(session, request)
 
     def _shard_state_message(self, request_id=None) -> Dict[str, Any]:
         shards = []
@@ -359,8 +357,6 @@ class Router(Server):
             effective.start() if effective is not None else CancellationToken()
         )
         budget_wire = protocol.budget_to_wire(effective)
-        if session.disconnected:
-            raise ShuttingDownError("client disconnected")
         server_trace = None
         if observability_tracing.recording_collector() is not None:
             stamped = observability_tracing.TraceContext.from_wire(
@@ -368,7 +364,7 @@ class Router(Server):
             )
             if stamped is not None and stamped.sampled:
                 server_trace = stamped.child()
-        session.active_token = token
+        session.watch(token)
         session.statements += 1
         try:
             with observability_tracing.activate(server_trace), \
@@ -690,7 +686,7 @@ class Router(Server):
 
     # -- prepared statements -------------------------------------------
 
-    def _handle_prepare(self, session, lock, request) -> bool:
+    def _handle_prepare(self, session, request) -> bool:
         request_id = request.get("id")
         sql = request.get("sql")
         try:
@@ -705,10 +701,10 @@ class Router(Server):
                 )
             prepared = _RouterPrepared(sql, coordinator)
         except BaseException as error:
-            return self._send_error(session, lock, request_id, error)
+            return self._send_error(session, request_id, error)
         handle = session.mint_handle()
         session.prepared[handle] = prepared
-        return self._send_safely(session.sock, lock, {
+        return self._send_safely(session.sock, {
             "type": "PREPARED",
             "id": request_id,
             "statement": handle,
@@ -1043,7 +1039,7 @@ class Router(Server):
     # error rendering
     # ------------------------------------------------------------------
 
-    def _send_error(self, session, lock, request_id, error) -> bool:
+    def _send_error(self, session, request_id, error) -> bool:
         if isinstance(error, RemoteError):
             # a shard's verdict forwarded verbatim: keep its stable code
             # (TIMEOUT stays TIMEOUT, not DATABASE_ERROR)
@@ -1056,8 +1052,8 @@ class Router(Server):
             }
             if error.leader_hint is not None:
                 frame["leader_hint"] = error.leader_hint
-            return self._send_safely(session.sock, lock, frame)
-        return super()._send_error(session, lock, request_id, error)
+            return self._send_safely(session.sock, frame)
+        return super()._send_error(session, request_id, error)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 tracing / EXPLAIN ANALYZE, slow-query log, and engine-seam gauges."""
 
 import io
+import sys
+import threading
 
 import pytest
 
@@ -108,6 +110,61 @@ class TestCounterGaugeHistogram:
     def test_same_handle_returned(self):
         registry = MetricsRegistry()
         assert registry.counter("a_total") is registry.counter("a_total")
+
+    # -- the unlocked repeat-call lookup --------------------------------
+
+    def test_reset_forgets_cached_handles(self):
+        registry = MetricsRegistry()
+        registry.counter("hits_total", kind="a").inc(3)
+        registry.counter("hits_total", kind="a").inc()  # a repeat call
+        registry.reset()
+        counter = registry.counter("hits_total", kind="a")
+        assert counter.value == 0
+        counter.inc()
+        assert registry.snapshot()["hits_total"]["samples"] == [
+            {"labels": {"kind": "a"}, "value": 1}
+        ]
+
+    def test_kind_conflict_after_a_repeat_call(self):
+        registry = MetricsRegistry()
+        registry.counter("x_total", kind="a")
+        registry.counter("x_total", kind="a")
+        with pytest.raises(ValueError):
+            registry.gauge("x_total", kind="a")
+
+    def test_invalid_label_name_rejected_every_time(self):
+        registry = MetricsRegistry()
+        registry.counter("ok_total", good="v")
+        registry.counter("ok_total", good="v")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                registry.counter("ok_total", **{"bad-label": "v"})
+
+    def test_unhashable_label_value_works(self):
+        registry = MetricsRegistry()
+        registry.counter("lists_total", shard=[1, 2]).inc()
+        registry.counter("lists_total", shard=[1, 2]).inc()
+        assert registry.value("lists_total", shard="[1, 2]") == 2
+
+    def test_concurrent_increments_lose_nothing(self):
+        registry = MetricsRegistry()
+
+        def work():
+            for _ in range(10_000):
+                registry.counter("race_total", kind="x").inc()
+
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert registry.value("race_total", kind="x") == 80_000
 
 
 class TestPrometheusExposition:

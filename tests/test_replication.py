@@ -249,7 +249,6 @@ class TestFailover:
         manager = make_cluster(tmp_path, replicas=1, heartbeat_timeout=3)
         for sql in WORKLOAD:
             manager.execute(sql)
-        old = manager.primary
         manager.promote()  # planned switchover: old node is healthy
         manager.step(20)
         rejoin_attempts = [

@@ -7,7 +7,9 @@ ephemeral port and talks to it with the real
 command-log hook, and disconnect cancellation.
 """
 
+import json
 import socket
+import struct
 import threading
 import time
 
@@ -19,7 +21,7 @@ from repro.core.database import Database
 from repro.errors import ClientConnectionError, RemoteError
 from repro.observability.metrics import get_registry
 from repro.replication.digest import database_digest
-from repro.server import Server
+from repro.server import Server, protocol
 
 
 @pytest.fixture
@@ -130,6 +132,117 @@ class TestRoundtrip:
         assert client.ping() is True
         text = client.metrics("repro_server")
         assert "repro_server_sessions" in text
+
+
+def wire_bytes(*messages):
+    """Length-prefixed compact-JSON frames, encoded independently of
+    ``encode_frame``: the byte contract a response must keep."""
+    out = b""
+    for message in messages:
+        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        out += struct.pack(">I", len(payload)) + payload
+    return out
+
+
+@pytest.fixture
+def session_writes(monkeypatch):
+    """Every ``sendall`` made by a server session thread, in order."""
+    writes = []
+    sendall = socket.socket.sendall
+
+    def recording(sock, data, *args):
+        if threading.current_thread().name.startswith("repro-session-"):
+            writes.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    monkeypatch.setattr(socket.socket, "sendall", recording)
+    return writes
+
+
+class TestServingPath:
+    """One thread per connection, one write per response."""
+
+    def test_one_row_result_is_one_write(self, client, session_writes):
+        client.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
+        client.execute("INSERT INTO T VALUES (7)")
+        del session_writes[:]
+        result = client.execute("SELECT a FROM T WHERE a = 7")
+        request = client._next_id
+        assert session_writes == [wire_bytes(
+            {"type": "RESULT_HEAD", "id": request, "columns": ["a"]},
+            {"type": "ROWS", "id": request, "rows": [[7]]},
+            {"type": "RESULT_END", "id": request, "rows": 1,
+             "rowcount": result.rowcount},
+        )]
+
+    def test_three_batch_result_is_one_write(self, client, session_writes):
+        client.execute("CREATE TABLE Big (a INTEGER PRIMARY KEY)")
+        client.execute(
+            "INSERT INTO Big VALUES " + ", ".join(f"({i})" for i in range(600))
+        )
+        del session_writes[:]
+        result = client.execute("SELECT a FROM Big ORDER BY a")
+        request = client._next_id
+        batches = [
+            {"type": "ROWS", "id": request,
+             "rows": [[i] for i in range(start, min(start + 256, 600))]}
+            for start in (0, 256, 512)
+        ]
+        assert session_writes == [wire_bytes(
+            {"type": "RESULT_HEAD", "id": request, "columns": ["a"]},
+            *batches,
+            {"type": "RESULT_END", "id": request, "rows": 600,
+             "rowcount": result.rowcount},
+        )]
+
+    def test_one_thread_per_connection(self, server):
+        with Client(*server.address, session="solo") as client:
+            assert client.ping()
+            named = [t.name for t in threading.enumerate() if "solo" in t.name]
+            assert named == ["repro-session-solo"]
+
+    def test_back_to_back_requests_answered_in_order(self, server):
+        with Client(*server.address) as setup:
+            setup.execute("CREATE TABLE T (a INTEGER PRIMARY KEY, b VARCHAR)")
+            setup.execute("INSERT INTO T VALUES (1, 'x'), (2, 'y')")
+        with socket.create_connection(server.address) as sock:
+            protocol.send_frame(sock, {"type": "HELLO", "protocol": 1})
+            assert protocol.read_frame(sock)["type"] == "HELLO_OK"
+            protocol.send_frame(sock, {
+                "type": "PREPARE", "id": 1, "sql": "SELECT b FROM T WHERE a = ?",
+            })
+            handle = protocol.read_frame(sock)["statement"]
+            sock.sendall(b"".join(
+                protocol.encode_frame({
+                    "type": "EXECUTE", "id": request, "statement": handle,
+                    "params": [key],
+                })
+                for request, key in ((2, 1), (3, 2))
+            ))
+            frames = [protocol.read_frame(sock) for _ in range(6)]
+        assert [(f["type"], f["id"]) for f in frames] == [
+            ("RESULT_HEAD", 2), ("ROWS", 2), ("RESULT_END", 2),
+            ("RESULT_HEAD", 3), ("ROWS", 3), ("RESULT_END", 3),
+        ]
+        assert frames[1]["rows"] == [["x"]] and frames[4]["rows"] == [["y"]]
+
+    def test_oversized_frame_is_an_error_not_a_dead_session(
+        self, client, monkeypatch
+    ):
+        client.execute("CREATE TABLE Wide (k INTEGER PRIMARY KEY, pad VARCHAR)")
+        client.execute("INSERT INTO Wide VALUES " + ", ".join(
+            f"({i}, '{'x' * 400}')" for i in range(5)
+        ))
+        session = client.session_name
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 1000)
+        with pytest.raises(RemoteError) as excinfo:
+            client.execute("SELECT k, pad FROM Wide")
+        assert excinfo.value.code == "PROTOCOL_ERROR"
+        assert "1000-byte limit" in str(excinfo.value)
+        # the same session goes on serving
+        assert client.execute("SELECT 1 FROM Wide WHERE k = 1").rows == [(1,)]
+        assert client.session_name == session
+        assert client.stats["reconnects"] == 0
 
 
 class TestAuth:
@@ -335,6 +448,44 @@ class TestDisconnectCancellation:
         ) or 0
         assert aborts_after == aborts_before + 1
         victim._drop_connection()
+
+    def test_queued_write_of_a_vanished_client_is_skipped(self):
+        server = Server(Database()).start()
+        try:
+            with Client(*server.address) as setup:
+                setup.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
+            gate = threading.Event()
+            server.scheduler.submit_write(gate.wait)  # occupy the writer
+            assert wait_until(lambda: server.scheduler.queue_depth == 0)
+            executed = server.scheduler.writes_executed
+
+            victim = Client(*server.address, session="gone",
+                            reconnect=False).connect()
+            failure = {}
+
+            def doomed():
+                try:
+                    victim.execute("INSERT INTO T VALUES (1)")
+                except ClientConnectionError:
+                    failure["kind"] = "connection"
+
+            thread = threading.Thread(target=doomed)
+            thread.start()
+            assert wait_until(lambda: server.scheduler.queue_depth == 1)
+            victim._sock.shutdown(socket.SHUT_RDWR)
+            thread.join(timeout=10)
+            assert failure.get("kind") == "connection"
+            # the session leaves while its write is still queued...
+            assert wait_until(lambda: "gone" not in server.sessions)
+            gate.set()
+            # ...and the writer skips it: FIFO, so once this no-op has
+            # run, the victim's ticket has been dealt with
+            server.scheduler.execute_write(lambda: None)
+            assert server.scheduler.writes_executed == executed + 2
+            assert server.db.execute("SELECT a FROM T").rows == []
+            victim._drop_connection()
+        finally:
+            server.shutdown(drain=False)
 
 
 class TestBackpressure:

@@ -1,5 +1,6 @@
 """Wire protocol: framing, malformed input, and stable error codes."""
 
+import json
 import socket
 import struct
 
@@ -34,6 +35,7 @@ from repro.errors import (
 from repro.server.protocol import (
     ERROR_CODES,
     MAX_FRAME_BYTES,
+    FrameReader,
     budget_from_wire,
     budget_to_wire,
     encode_frame,
@@ -50,6 +52,61 @@ def pair():
     yield a, b
     a.close()
     b.close()
+
+
+class ScriptedSocket:
+    """A socket whose ``recv`` hands out ``pieces`` in order (at most the
+    asked-for size each time), then EOF: arrival boundaries on demand."""
+
+    def __init__(self, pieces):
+        self.pieces = [bytes(piece) for piece in pieces if piece]
+
+    def recv(self, size, flags=0):
+        if not self.pieces:
+            return b""
+        piece = self.pieces[0]
+        if len(piece) > size:
+            self.pieces[0] = piece[size:]
+        else:
+            self.pieces.pop(0)
+        return piece[:size]
+
+
+def read_all(read):
+    """Every frame ``read()`` yields up to EOF, then the final outcome:
+    ``None`` for a clean EOF or the error message."""
+    frames = []
+    try:
+        while True:
+            frame = read()
+            if frame is None:
+                return frames, None
+            frames.append(frame)
+    except ProtocolError as error:
+        return frames, str(error)
+
+
+def both_readers(pieces):
+    """What ``read_frame`` and a ``FrameReader`` make of the same bytes,
+    arriving as ``pieces``."""
+    exact = ScriptedSocket(pieces)
+    buffered = FrameReader(ScriptedSocket(pieces))
+    return read_all(lambda: read_frame(exact)), read_all(buffered.read_frame)
+
+
+#: The frames of the tests above and of the error-code contract below,
+#: plus a result set: requests, responses, unicode, every stable code.
+WIRE_FRAMES = [
+    {"type": "HELLO", "protocol": 1, "session": "s"},
+    {"type": "QUERY", "id": 7, "sql": "SELECT 1", "n": None},
+    {"type": "ROWS", "rows": [["héllo", "日本語"]]},
+    {"type": "RESULT_HEAD", "id": 3, "columns": ["a", "b"]},
+    {"type": "ROWS", "id": 3, "rows": [[i, f"v{i}"] for i in range(300)]},
+    {"type": "RESULT_END", "id": 3, "rows": 300, "rowcount": 300},
+] + [
+    {"type": "ERROR", "id": i, "code": code, "message": ERROR_CODES[code]}
+    for i, code in enumerate(sorted(ERROR_CODES))
+] + [{"type": "PING", "id": i} for i in range(50)]
 
 
 class TestFraming:
@@ -121,6 +178,66 @@ class TestFraming:
     def test_encode_rejects_oversized_message(self):
         with pytest.raises(ProtocolError):
             encode_frame({"type": "ROWS", "x": "a" * (MAX_FRAME_BYTES + 1)})
+
+    def test_encoding_is_compact_json(self):
+        message = {"type": "ROWS", "id": 1, "rows": [[1, "é", None, 2.5]]}
+        payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+        assert encode_frame(message) == struct.pack(">I", len(payload)) + payload
+
+    # -- the buffered reader against the exact one ----------------------
+
+    def test_frame_reader_one_send(self, pair):
+        a, b = pair
+        a.sendall(b"".join(encode_frame(m) for m in WIRE_FRAMES))
+        a.close()
+        assert read_all(FrameReader(b).read_frame) == (WIRE_FRAMES, None)
+
+    def test_frame_reader_one_byte_per_recv(self):
+        data = b"".join(encode_frame(m) for m in WIRE_FRAMES)
+        exact, buffered = both_readers([data[i:i + 1] for i in range(len(data))])
+        assert exact == buffered == (WIRE_FRAMES, None)
+
+    def test_frame_reader_split_at_every_offset(self):
+        frames = [WIRE_FRAMES[1], WIRE_FRAMES[2]]
+        data = b"".join(encode_frame(m) for m in frames)
+        for cut in range(1, len(data)):
+            exact, buffered = both_readers([data[:cut], data[cut:]])
+            assert exact == buffered == (frames, None), cut
+
+    def test_frame_reader_clean_eof_at_boundary(self, pair):
+        a, b = pair
+        send_frame(a, {"type": "PING"})
+        a.close()
+        reader = FrameReader(b)
+        assert reader.read_frame() == {"type": "PING"}
+        assert reader.read_frame() is None
+
+    @pytest.mark.parametrize("data", [
+        b"\x00\x00",                                   # EOF in the prefix
+        struct.pack(">I", 9),                          # EOF after the prefix
+        encode_frame({"type": "PING"})[:-3],           # EOF in the payload
+        struct.pack(">I", MAX_FRAME_BYTES + 1),        # oversized prefix
+        struct.pack(">I", 3) + b"\xff\xfe{",           # not UTF-8
+        struct.pack(">I", 9) + b"{not json",           # not JSON
+        struct.pack(">I", 9) + b"[1, 2, 3]",           # not an object
+        struct.pack(">I", 9) + b'{"id": 1}',           # no type
+    ])
+    def test_frame_reader_errors_match_read_frame(self, data):
+        ping = encode_frame({"type": "PING"})
+        exact, buffered = both_readers([ping + data])
+        assert exact == buffered
+        assert exact[0] == [{"type": "PING"}] and exact[1] is not None
+
+    def test_poll_takes_what_arrived_and_reports_eof(self, pair):
+        a, b = pair
+        reader = FrameReader(b)
+        assert reader.poll() is True  # nothing yet, still connected
+        send_frame(a, {"type": "PING", "id": 1})
+        assert reader.poll() is True
+        a.close()
+        assert reader.poll() is False
+        assert reader.read_frame() == {"type": "PING", "id": 1}
+        assert reader.read_frame() is None
 
 
 class TestErrorCodes:
