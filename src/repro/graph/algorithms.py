@@ -38,19 +38,18 @@ def _neighbors(
 ):
     """Neighbor ids of a vertex (optionally treating edges as undirected)."""
     topology = view.topology
+    vertex_at, edge_at = topology.vertex_at, topology.edge_at
     vertex = topology.vertices[vertex_id]
-    edge_ids: Iterable[Any] = vertex.out_edges
+    pairs = iter(vertex.out_pairs)
+    for edge_slot in pairs:
+        target_slot = next(pairs)
+        if edge_filter is None or edge_filter(edge_at[edge_slot]):
+            yield vertex_at[target_slot].id
     if ignore_direction and view.directed:
-        edge_ids = list(vertex.out_edges) + list(vertex.in_edges)
-    for edge_id in edge_ids:
-        edge = topology.edges[edge_id]
-        if edge_filter is not None and not edge_filter(edge):
-            continue
-        yield edge.other_endpoint(vertex_id) if not view.directed else (
-            edge.to_id
-            if edge.from_id == vertex_id
-            else edge.from_id
-        )
+        for edge_slot in vertex.in_slots:
+            edge = edge_at[edge_slot]
+            if edge_filter is None or edge_filter(edge):
+                yield edge.from_id
 
 
 def connected_components(
@@ -95,12 +94,11 @@ def strongly_connected_components(view: GraphView) -> List[Set[Any]]:
     stack: List[Any] = []
     components: List[Set[Any]] = []
 
+    vertex_at = topology.vertex_at
+
     def successors(vertex_id: Any) -> List[Any]:
-        out = []
-        for edge_id in topology.vertices[vertex_id].out_edges:
-            edge = topology.edges[edge_id]
-            out.append(edge.to_id)
-        return out
+        pairs = topology.vertices[vertex_id].out_pairs
+        return [vertex_at[target].id for target in pairs[1::2]]
 
     for root in topology.vertices:
         if root in indices:
@@ -159,6 +157,7 @@ def pagerank(
     if not 0 < damping < 1:
         raise ExecutionError("damping must be in (0, 1)")
     topology = view.topology
+    vertex_at = topology.vertex_at
     vertices = list(topology.vertices)
     n = len(vertices)
     if n == 0:
@@ -175,14 +174,8 @@ def pagerank(
             if degree == 0:
                 continue
             share = rank[v] / degree
-            for edge_id in topology.vertices[v].out_edges:
-                edge = topology.edges[edge_id]
-                target = (
-                    edge.to_id
-                    if view.directed or edge.from_id == v
-                    else edge.from_id
-                )
-                incoming[target] += share
+            for target in topology.vertices[v].out_pairs[1::2]:
+                incoming[vertex_at[target].id] += share
         base = (1.0 - damping) / n + damping * dangling_mass / n
         new_rank = {v: base + damping * incoming[v] for v in vertices}
         delta = sum(abs(new_rank[v] - rank[v]) for v in vertices)

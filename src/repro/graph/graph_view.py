@@ -3,7 +3,7 @@
 A :class:`GraphView` couples
 
 * a materialized :class:`~repro.graph.topology.GraphTopology` (singleton,
-  shared by all queries), and
+  shared by all queries; dense integer slots with per-slot adjacency), and
 * *schemas* mapping declared graph attributes to columns of the vertex /
   edge relational sources, reached through tuple pointers.
 
@@ -481,7 +481,7 @@ class _VertexSourceListener(TableListener):
         if not self.view.topology.has_vertex(vertex_id):
             return  # already gone (e.g. transaction rollback replay)
         vertex = self.view.topology.vertex(vertex_id)
-        if vertex.out_edges or vertex.in_edges:
+        if vertex.fan_out or vertex.fan_in:
             raise IntegrityError(
                 f"graph view {self.view.name}: cannot delete vertex "
                 f"{vertex_id!r} while edges reference it"

@@ -156,6 +156,7 @@ def _path_rows(
             yield row
     finally:
         if tracer is not None:
+            paths.close()  # a scan folds its last counters in when closed
             tracer.record_traversal(span_key, label, mode, stats)
 
 

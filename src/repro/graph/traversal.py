@@ -23,6 +23,21 @@ Four loops, one per exploration discipline:
   producing the hop-minimal path per reached vertex — the discipline
   reachability queries need, linear in the graph size;
 * **SPScan** (:func:`shortest_paths`): paths in non-decreasing weight.
+
+The loops walk the topology's integer slots: each out-list alternates
+``edge_slot, target_slot`` with undirected targets resolved when the edge
+was added, so no loop looks at edge direction, and ``on_path`` /
+visited / parent / settled state is keyed by slot. Element records are
+read only to test a pushed filter and to build the paths a scan keeps
+(the enumerations hold the partial path's records; visited-once and
+SPScan hold slots and materialise an emitted path from them). Filters
+over ``Edges[0..*]`` hold at every position, so a scan evaluates them at
+most once per edge (see :func:`_edge_filters`).
+
+Counters accumulate in locals and reach the :class:`TraversalStats` when
+the scan ends or is closed; visited-once and SPScan, which emit few
+paths, also fold them in before each emitted path, so a caller that
+pulls one path and reads the stats sees the work done for it.
 """
 
 from __future__ import annotations
@@ -37,7 +52,7 @@ from ..budget import current_token
 from ..errors import ExecutionError
 from .graph_view import GraphView
 from .path import Path
-from .topology import Edge, Vertex
+from .topology import Edge, GraphTopology, Vertex
 
 
 class PositionalFilter:
@@ -151,23 +166,6 @@ class TraversalSpec:
         # early pruning applied to the pattern workload).
         self.target_is_start = target_is_start
 
-    # -------------------------- checks --------------------------------
-
-    def edge_allowed(self, position: int, edge: Edge) -> bool:
-        for filt in self.edge_filters:
-            if filt.applies_at(position) and not filt.predicate(edge):
-                return False
-        return True
-
-    def vertex_allowed(self, position: int, vertex: Vertex) -> bool:
-        for filt in self.vertex_filters:
-            if filt.applies_at(position) and not filt.predicate(vertex):
-                return False
-        return True
-
-    def length_could_grow_to(self, current_length: int) -> bool:
-        return self.max_length is None or current_length < self.max_length
-
     def admit(
         self,
         path: Path,
@@ -227,9 +225,12 @@ class TraversalStats:
         self.edges_examined = 0
         self.peak_frontier = 0
 
-    def note_frontier(self, size: int) -> None:
-        if size > self.peak_frontier:
-            self.peak_frontier = size
+    def add(self, vertices: int, edges: int, peak: int) -> None:
+        """Fold a loop's local counters in."""
+        self.vertices_visited += vertices
+        self.edges_examined += edges
+        if peak > self.peak_frontier:
+            self.peak_frontier = peak
 
     def __repr__(self) -> str:
         return (
@@ -252,6 +253,54 @@ def _start_vertices(
             yield vertex
 
 
+def _target_slot(topology: GraphTopology, spec: TraversalSpec) -> Optional[int]:
+    """The slot of the bound end vertex: ``None`` when there is none, -1
+    when it names no vertex (nothing matches, the walk still runs)."""
+    if spec.target_vertex_id is None:
+        return None
+    vertex = topology.vertices.get(spec.target_vertex_id)
+    return -1 if vertex is None else vertex.slot
+
+
+def _allowed_at(
+    filters: List[PositionalFilter], position: int, element: Any
+) -> bool:
+    for filt in filters:
+        if filt.applies_at(position) and not filt.predicate(element):
+            return False
+    return True
+
+
+def _edge_filters(
+    spec: TraversalSpec,
+) -> Tuple[Optional[Callable[[Edge], bool]], List[PositionalFilter]]:
+    """Split the pushed edge filters into ``(passes, positional)``.
+
+    Filters over ``Edges[0..*]`` hold at every position, so their
+    conjunction ``passes`` is a property of the edge alone. The
+    enumerations and SPScan reach an edge many times and memoise it per
+    scan call in a ``bytearray`` keyed by edge slot (0 = not yet
+    evaluated, 1 = pass, 2 = fail), filled lazily on an edge's first
+    visit — a predicate still runs, and can still raise, only on edges
+    the scan reaches. The memo lives for one scan call; results are
+    materialised before any DML runs, so it needs no invalidation.
+    Position-specific filters run on every visit.
+    """
+    passes: Optional[Callable[[Edge], bool]] = None
+    positional: List[PositionalFilter] = []
+    for filt in spec.edge_filters:
+        if filt.start == 0 and filt.end is None:
+            passes = filt.predicate if passes is None else _both(
+                passes, filt.predicate)
+        else:
+            positional.append(filt)
+    return passes, positional
+
+
+def _both(first: Callable[[Edge], bool], second: Callable[[Edge], bool]):
+    return lambda edge: first(edge) and second(edge)
+
+
 def _extend_sums(
     sum_bounds: List[SumBound],
     sums: Tuple[float, ...],
@@ -271,6 +320,21 @@ def _extend_sums(
         if bound.prunable_now(new_sums[i], non_negative):
             prune = True
     return (None if prune else tuple(new_sums)), non_negative
+
+
+def _path(
+    vertex_at: List[Vertex],
+    edge_at: List[Edge],
+    vertex_slots: Iterable[int],
+    edge_slots: Iterable[int],
+    cost: Optional[float] = None,
+) -> Path:
+    """Materialise an emitted path from its slots."""
+    return Path(
+        tuple(map(vertex_at.__getitem__, vertex_slots)),
+        tuple(map(edge_at.__getitem__, edge_slots)),
+        cost,
+    )
 
 
 def dfs_paths(
@@ -318,29 +382,22 @@ def _dfs(
     stats: TraversalStats,
 ) -> Iterator[Path]:
     # One flat iterator-stack loop with the per-edge work inlined: this is
-    # the hottest loop in the engine (triangles, 2-hop neighbourhoods), and
-    # moving the per-edge step into a helper shared with the other scans
-    # cost +22 % on the graph_query triangle query.
+    # the hottest loop in the engine (triangles, 2-hop neighbourhoods).
+    # Each level's iterator is resumed by a ``for`` that breaks out to
+    # descend; the ``else`` branch backtracks when a level is exhausted.
     topology = view.topology
-    vertices_map = topology.vertices
-    edges_map = topology.edges
-    directed = view.directed
-    check_edges = bool(spec.edge_filters)
-    check_vertices = bool(spec.vertex_filters)
+    out_pairs = topology.out_pairs
+    vertex_at = topology.vertex_at
+    edge_at = topology.edge_at
+    passes, positional = _edge_filters(spec)
+    memo = None if passes is None else bytearray(len(edge_at))
+    vertex_filters = spec.vertex_filters
     sum_bounds = spec.sum_bounds
     n_bounds = len(sum_bounds)
     min_length = spec.min_length
     max_length = spec.max_length
     target_is_start = spec.target_is_start
-    static_target = spec.target_vertex_id
-    # dispatch shortcut: a single position-independent edge filter is by
-    # far the most common pushed shape (selectivity / label predicates)
-    single_edge_predicate = None
-    if check_edges and len(spec.edge_filters) == 1:
-        only_filter = spec.edge_filters[0]
-        if only_filter.start == 0 and only_filter.end is None:
-            single_edge_predicate = only_filter.predicate
-            check_edges = False
+    static_target = _target_slot(topology, spec)
     examined = 0
     visited = 0
     peak = 0
@@ -352,113 +409,109 @@ def _dfs(
             visited += 1
             if token is not None:
                 token.tick_vertex()
-            if check_vertices and not spec.vertex_allowed(0, start):
+            if vertex_filters and not _allowed_at(vertex_filters, 0, start):
                 continue
-            start_id = start.id
-            target = start_id if target_is_start else static_target
+            start_slot = start.slot
+            target = start_slot if target_is_start else static_target
             path_vertices: List[Vertex] = [start]
             path_edges: List[Edge] = []
-            on_path: Set[Any] = {start_id}
+            on_path: Set[int] = {start_slot}
             sums_stack: List[Tuple[float, ...]] = [(0.0,) * n_bounds]
             non_negative = True
-            iterators: List[Iterator[Any]] = [iter(start.out_edges)]
-            depth = 0  # == len(path_edges)
+            iterators: List[Iterator[int]] = [iter(out_pairs[start_slot])]
+            if not peak:
+                peak = 1
+            depth = 0  # == len(path_edges) == len(iterators) - 1
             while iterators:
-                if len(iterators) > peak:
-                    peak = len(iterators)
-                edge_id = next(iterators[-1], None)
-                if edge_id is None:
-                    iterators.pop()
-                    if path_edges:
-                        path_edges.pop()
-                        removed = path_vertices.pop()
-                        on_path.discard(removed.id)
-                        sums_stack.pop()
-                        depth -= 1
-                    continue
-                edge = edges_map[edge_id]
-                examined += 1
-                if token is not None:
-                    token.tick_edge()
-                if single_edge_predicate is not None:
-                    if not single_edge_predicate(edge):
-                        continue
-                elif check_edges and not spec.edge_allowed(depth, edge):
-                    continue
-                current_id = path_vertices[-1].id
-                if directed:
-                    next_id = edge.to_id
-                else:
-                    next_id = (
-                        edge.to_id
-                        if edge.from_id == current_id
-                        else edge.from_id
-                    )
-                # Paths are simple, except that an edge may close a cycle
-                # back to the start vertex — needed by sub-graph pattern
-                # queries such as triangle counting (Listing 4).
-                if next_id in on_path:
-                    closes_cycle = (
-                        next_id == start_id
-                        and depth >= 1
-                        and all(e.id != edge_id for e in path_edges)
-                    )
-                    if not closes_cycle:
-                        continue  # keep paths simple
-                else:
-                    closes_cycle = False
-                next_vertex = vertices_map.get(next_id)
-                if next_vertex is None:
-                    continue
-                if check_vertices and not spec.vertex_allowed(
-                    depth + 1, next_vertex
-                ):
-                    continue
-                if n_bounds:
-                    new_sums, non_negative = _extend_sums(
-                        sum_bounds, sums_stack[-1], edge, non_negative
-                    )
-                    if new_sums is None:
-                        continue
-                else:
-                    new_sums = ()
-                if closes_cycle:
-                    # emit the cycle (if it qualifies) but never extend it
-                    if depth + 1 >= min_length and (
-                        target is None or next_id == target
+                pairs = iterators[-1]
+                for edge_slot in pairs:
+                    next_slot = next(pairs)
+                    examined += 1
+                    if token is not None:
+                        token.tick_edge()
+                    if memo is not None:
+                        verdict = memo[edge_slot]
+                        if not verdict:
+                            verdict = memo[edge_slot] = (
+                                1 if passes(edge_at[edge_slot]) else 2
+                            )
+                        if verdict == 2:
+                            continue
+                    if positional and not _allowed_at(
+                        positional, depth, edge_at[edge_slot]
                     ):
-                        candidate = Path(
-                            path_vertices + [next_vertex], path_edges + [edge]
+                        continue
+                    # Paths are simple, except that an edge may close a
+                    # cycle back to the start vertex — needed by sub-graph
+                    # pattern queries such as triangle counting (Listing 4).
+                    if next_slot in on_path:
+                        if (
+                            next_slot != start_slot
+                            or not depth
+                            or edge_at[edge_slot] in path_edges
+                        ):
+                            continue  # keep paths simple
+                        closes_cycle = True
+                    else:
+                        closes_cycle = False
+                    if vertex_filters and not _allowed_at(
+                        vertex_filters, depth + 1, vertex_at[next_slot]
+                    ):
+                        continue
+                    if n_bounds:
+                        new_sums, non_negative = _extend_sums(
+                            sum_bounds, sums_stack[-1], edge_at[edge_slot],
+                            non_negative,
                         )
+                        if new_sums is None:
+                            continue
+                    else:
+                        new_sums = ()
+                    if closes_cycle:
+                        # emit the cycle (if it qualifies) but never extend it
+                        if depth + 1 >= min_length and (
+                            target is None or next_slot == target
+                        ):
+                            candidate = Path(
+                                path_vertices + [start],
+                                path_edges + [edge_at[edge_slot]],
+                            )
+                            if spec.admit(candidate, new_sums, stats, token):
+                                yield candidate
+                        continue
+                    path_edges.append(edge_at[edge_slot])
+                    path_vertices.append(vertex_at[next_slot])
+                    on_path.add(next_slot)
+                    sums_stack.append(new_sums)
+                    depth += 1
+                    visited += 1
+                    if token is not None:
+                        token.tick_vertex()
+                    if depth >= min_length and (
+                        target is None or next_slot == target
+                    ):
+                        candidate = Path(path_vertices, path_edges)
                         if spec.admit(candidate, new_sums, stats, token):
                             yield candidate
-                    continue
-                path_edges.append(edge)
-                path_vertices.append(next_vertex)
-                on_path.add(next_id)
-                sums_stack.append(new_sums)
-                depth += 1
-                visited += 1
-                if token is not None:
-                    token.tick_vertex()
-                if depth >= min_length and (
-                    target is None or next_id == target
-                ):
-                    candidate = Path(path_vertices, path_edges)
-                    if spec.admit(candidate, new_sums, stats, token):
-                        yield candidate
-                if max_length is None or depth < max_length:
-                    iterators.append(iter(next_vertex.out_edges))
-                else:
+                    if max_length is None or depth < max_length:
+                        iterators.append(iter(out_pairs[next_slot]))
+                        if depth >= peak:
+                            peak = depth + 1
+                        break
                     path_edges.pop()
                     path_vertices.pop()
-                    on_path.discard(next_id)
+                    on_path.discard(next_slot)
                     sums_stack.pop()
                     depth -= 1
+                else:
+                    iterators.pop()
+                    if depth:
+                        path_edges.pop()
+                        on_path.discard(path_vertices.pop().slot)
+                        sums_stack.pop()
+                        depth -= 1
     finally:
-        stats.edges_examined += examined
-        stats.vertices_visited += visited
-        stats.note_frontier(peak)
+        stats.add(visited, examined, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -473,83 +526,101 @@ def _bfs(
     stats: TraversalStats,
 ) -> Iterator[Path]:
     topology = view.topology
-    vertices_map = topology.vertices
-    edges_map = topology.edges
-    directed = view.directed
+    out_pairs = topology.out_pairs
+    vertex_at = topology.vertex_at
+    edge_at = topology.edge_at
+    passes, positional = _edge_filters(spec)
+    memo = None if passes is None else bytearray(len(edge_at))
+    vertex_filters = spec.vertex_filters
     sum_bounds = spec.sum_bounds
+    min_length = spec.min_length
+    max_length = spec.max_length
     target_is_start = spec.target_is_start
-    static_target = spec.target_vertex_id
+    static_target = _target_slot(topology, spec)
     # entries: (vertices, edges, running sums, all increments non-negative)
     queue: deque = deque()
+    examined = 0
+    visited = 0
+    peak = 0
     token = current_token()
-    for start in _start_vertices(view, start_ids):
-        if spec.vertex_allowed(0, start):
-            queue.append(((start,), (), (0.0,) * len(sum_bounds), True))
-    while queue:
-        stats.note_frontier(len(queue))
-        vertices, edges, sums, non_negative = queue.popleft()
-        stats.vertices_visited += 1
-        if token is not None:
-            token.tick_vertex()
-        start_id = vertices[0].id
-        current = vertices[-1]
-        current_id = current.id
-        position = len(edges)
-        target = start_id if target_is_start else static_target
-        if position >= spec.min_length and (target is None or current_id == target):
-            candidate = Path(vertices, edges)
-            if spec.admit(candidate, sums, stats, token):
-                yield candidate
-        if not spec.length_could_grow_to(position):
-            continue
-        on_path = {v.id for v in vertices}
-        for edge_id in current.out_edges:
-            edge = edges_map[edge_id]
-            stats.edges_examined += 1
+    try:
+        for start in _start_vertices(view, start_ids):
+            if _allowed_at(vertex_filters, 0, start):
+                queue.append(((start,), (), (0.0,) * len(sum_bounds), True))
+        while queue:
+            if len(queue) > peak:
+                peak = len(queue)
+            vertices, edges, sums, non_negative = queue.popleft()
+            visited += 1
             if token is not None:
-                token.tick_edge()
-            if not spec.edge_allowed(position, edge):
+                token.tick_vertex()
+            start_slot = vertices[0].slot
+            current = vertices[-1].slot
+            position = len(edges)
+            target = start_slot if target_is_start else static_target
+            if position >= min_length and (target is None or current == target):
+                candidate = Path(vertices, edges)
+                if spec.admit(candidate, sums, stats, token):
+                    yield candidate
+            if max_length is not None and position >= max_length:
                 continue
-            if directed:
-                next_id = edge.to_id
-            else:
-                next_id = edge.to_id if edge.from_id == current_id else edge.from_id
-            closes_cycle = (
-                next_id == start_id
-                and position >= 1
-                and all(e.id != edge_id for e in edges)
-            )
-            if next_id in on_path and not closes_cycle:
-                continue
-            next_vertex = vertices_map.get(next_id)
-            if next_vertex is None:
-                continue
-            if not spec.vertex_allowed(position + 1, next_vertex):
-                continue
-            new_sums, new_non_negative = sums, non_negative
-            if sum_bounds:
-                new_sums, new_non_negative = _extend_sums(
-                    sum_bounds, sums, edge, non_negative
-                )
-                if new_sums is None:
-                    continue
-            if closes_cycle:
-                # emit the closing cycle directly; cycles never extend
-                if position + 1 >= spec.min_length and (
-                    target is None or next_id == target
+            on_path = {vertex.slot for vertex in vertices}
+            pairs = iter(out_pairs[current])
+            for edge_slot in pairs:
+                next_slot = next(pairs)
+                examined += 1
+                if token is not None:
+                    token.tick_edge()
+                if memo is not None:
+                    verdict = memo[edge_slot]
+                    if not verdict:
+                        verdict = memo[edge_slot] = (
+                            1 if passes(edge_at[edge_slot]) else 2
+                        )
+                    if verdict == 2:
+                        continue
+                if positional and not _allowed_at(
+                    positional, position, edge_at[edge_slot]
                 ):
-                    candidate = Path(vertices + (next_vertex,), edges + (edge,))
-                    if spec.admit(candidate, new_sums, stats, token):
-                        yield candidate
-                continue
-            queue.append(
-                (
-                    vertices + (next_vertex,),
-                    edges + (edge,),
-                    new_sums,
-                    new_non_negative,
+                    continue
+                closes_cycle = (
+                    next_slot == start_slot
+                    and position >= 1
+                    and edge_at[edge_slot] not in edges
                 )
-            )
+                if next_slot in on_path and not closes_cycle:
+                    continue
+                if vertex_filters and not _allowed_at(
+                    vertex_filters, position + 1, vertex_at[next_slot]
+                ):
+                    continue
+                edge = edge_at[edge_slot]
+                new_sums, new_non_negative = sums, non_negative
+                if sum_bounds:
+                    new_sums, new_non_negative = _extend_sums(
+                        sum_bounds, sums, edge, non_negative
+                    )
+                    if new_sums is None:
+                        continue
+                if closes_cycle:
+                    # emit the closing cycle directly; cycles never extend
+                    if position + 1 >= min_length and (
+                        target is None or next_slot == target
+                    ):
+                        candidate = Path(vertices + (vertices[0],), edges + (edge,))
+                        if spec.admit(candidate, new_sums, stats, token):
+                            yield candidate
+                    continue
+                queue.append(
+                    (
+                        vertices + (vertex_at[next_slot],),
+                        edges + (edge,),
+                        new_sums,
+                        new_non_negative,
+                    )
+                )
+    finally:
+        stats.add(visited, examined, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -557,26 +628,21 @@ def _bfs(
 # ---------------------------------------------------------------------------
 
 
-def _reconstruct_path(
-    vertices_map: Dict[Any, Vertex],
-    parents: Dict[Any, Optional[Tuple[Any, Edge]]],
-    tail_id: Any,
-) -> Path:
-    """Rebuild a path from per-vertex parent pointers."""
-    vertex_chain: List[Vertex] = []
-    edge_chain: List[Edge] = []
-    current = tail_id
-    while True:
-        vertex_chain.append(vertices_map[current])
-        parent = parents[current]
-        if parent is None:
-            break
-        parent_id, edge = parent
-        edge_chain.append(edge)
-        current = parent_id
-    vertex_chain.reverse()
-    edge_chain.reverse()
-    return Path(vertex_chain, edge_chain)
+def _chain(
+    parents: Dict[int, Optional[Tuple[int, int]]], tail: int
+) -> Tuple[List[int], List[int]]:
+    """Vertex and edge slots from a start to ``tail``, by parent links."""
+    vertex_slots = [tail]
+    edge_slots: List[int] = []
+    link = parents[tail]
+    while link is not None:
+        parent, edge_slot = link
+        vertex_slots.append(parent)
+        edge_slots.append(edge_slot)
+        link = parents[parent]
+    vertex_slots.reverse()
+    edge_slots.reverse()
+    return vertex_slots, edge_slots
 
 
 def _visited_once(
@@ -589,71 +655,103 @@ def _visited_once(
 
     This is the discipline used by the reachability experiments
     (Figure 7): linear in the explored subgraph, stopping as soon as the
-    target is reached when one is known. Parent pointers keep the hot
-    loop allocation-free; paths materialize only at emission.
+    target is reached when one is known. Parent links (``slot ->
+    (parent slot, edge slot)``, ``None`` for a start) double as the
+    visited set and keep the hot loop allocation-free; paths materialize
+    only at emission. Edges toward a visited vertex are skipped before
+    any filter runs, and an edge leads to an undiscovered vertex at most
+    once, so a filter runs at most once per edge without a memo.
+
+    A bound end vertex that is itself a start is never discovered again:
+    only a path closing back onto it can end there, and the visited-once
+    tree need not hold one (in an undirected triangle it reaches both
+    neighbours of the start directly). That case runs as SPScan's cycle
+    route with every edge weighing one hop, whose first path is the
+    hop-minimal one.
     """
     topology = view.topology
-    vertices_map = topology.vertices
-    edges_map = topology.edges
-    directed = view.directed
-    target = spec.target_vertex_id
-    check_edges = bool(spec.edge_filters)
-    check_vertices = bool(spec.vertex_filters)
+    out_pairs = topology.out_pairs
+    vertex_at = topology.vertex_at
+    edge_at = topology.edge_at
+    passes, positional = _edge_filters(spec)
+    vertex_filters = spec.vertex_filters
     min_length = spec.min_length
-    visited: Set[Any] = set()
-    parents: Dict[Any, Optional[Tuple[Any, Edge]]] = {}
-    queue: "deque[Tuple[Vertex, int]]" = deque()
+    max_length = spec.max_length
+    target = _target_slot(topology, spec)
+    parents: Dict[int, Optional[Tuple[int, int]]] = {}
+    frontier: List[int] = []
+    examined = 0
+    visited = 0
+    peak = 0
     token = current_token()
-    for start in _start_vertices(view, start_ids):
-        if start.id in visited:
-            continue
-        if check_vertices and not spec.vertex_allowed(0, start):
-            continue
-        visited.add(start.id)
-        parents[start.id] = None
-        queue.append((start, 0))
-    while queue:
-        stats.note_frontier(len(queue))
-        vertex, depth = queue.popleft()
-        stats.vertices_visited += 1
-        if token is not None:
-            token.tick_vertex()
-        if depth >= min_length:
-            if target is None or vertex.id == target:
-                candidate = _reconstruct_path(vertices_map, parents, vertex.id)
-                if spec.admit(candidate, None, stats, token):
-                    yield candidate
-                    if target is not None:
-                        return
-        if not spec.length_could_grow_to(depth):
-            continue
-        vertex_id = vertex.id
-        next_depth = depth + 1
-        for edge_id in vertex.out_edges:
-            edge = edges_map[edge_id]
-            stats.edges_examined += 1
-            if token is not None:
-                token.tick_edge()
-            if check_edges and not spec.edge_allowed(depth, edge):
+    try:
+        for start in _start_vertices(view, start_ids):
+            slot = start.slot
+            if slot in parents:
                 continue
-            if directed:
-                next_id = edge.to_id
-            else:
-                next_id = (
-                    edge.to_id if edge.from_id == vertex_id else edge.from_id
-                )
-            if next_id in visited:
+            if vertex_filters and not _allowed_at(vertex_filters, 0, start):
                 continue
-            next_vertex = vertices_map.get(next_id)
-            if next_vertex is None:
-                continue
-            if check_vertices and not spec.vertex_allowed(
-                next_depth, next_vertex
-            ):
-                continue
-            visited.add(next_id)
-            parents[next_id] = (vertex_id, edge)
-            queue.append((next_vertex, next_depth))
+            parents[slot] = None
+            frontier.append(slot)
+        if target in parents:
+            starts = [vertex_at[slot].id for slot in parents]
+            closing = shortest_paths(view, starts, spec, _one_hop, 1, stats)
+            path = next(closing, None)
+            closing.close()
+            if path is not None:
+                yield Path(path.vertices, path.edges)  # hops are no cost
+            return
+        depth = 0
+        # level by level: the FIFO queue at any pop holds the rest of the
+        # current level plus what this level discovered so far
+        while frontier:
+            discovered: List[int] = []
+            waiting = len(frontier)
+            emits = depth >= min_length
+            grows = max_length is None or depth < max_length
+            next_depth = depth + 1
+            for slot in frontier:
+                queued = waiting + len(discovered)
+                if queued > peak:
+                    peak = queued
+                waiting -= 1
+                visited += 1
+                if token is not None:
+                    token.tick_vertex()
+                if emits and (target is None or slot == target):
+                    candidate = _path(vertex_at, edge_at, *_chain(parents, slot))
+                    if spec.admit(candidate, None, stats, token):
+                        stats.add(visited, examined, peak)
+                        visited = examined = 0
+                        yield candidate
+                        if target is not None:
+                            return
+                if not grows:
+                    continue
+                pairs = iter(out_pairs[slot])
+                for edge_slot in pairs:
+                    next_slot = next(pairs)
+                    examined += 1
+                    if token is not None:
+                        token.tick_edge()
+                    if next_slot in parents:
+                        continue
+                    if passes is not None and not passes(edge_at[edge_slot]):
+                        continue
+                    if positional and not _allowed_at(
+                        positional, depth, edge_at[edge_slot]
+                    ):
+                        continue
+                    if vertex_filters and not _allowed_at(
+                        vertex_filters, next_depth, vertex_at[next_slot]
+                    ):
+                        continue
+                    parents[next_slot] = (slot, edge_slot)
+                    discovered.append(next_slot)
+            frontier = discovered
+            depth = next_depth
+    finally:
+        stats.add(visited, examined, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -679,11 +777,13 @@ def shortest_paths(
     ``SELECT TOP k`` queries.
 
     Heap entries carry the running ``sum_bounds`` totals, so monotone
-    bounds prune here as in the other scans. Under ``target_is_start`` a
-    closing cycle is a terminal heap entry — emitted in cost order, never
-    extended — and slots are counted per (start, vertex), so the start's
-    zero-length entry leaves its ``k`` cycle slots free and another
-    start's paths cannot use them up.
+    bounds prune here as in the other scans. A path from a start that
+    must end where it began — every start under ``target_is_start``, or
+    the start a bound end vertex names — takes the cycle route: a
+    closing cycle is a terminal heap entry, emitted in cost order and
+    never extended, and slots are counted per start (see
+    :func:`_cycle_key`), so the start's zero-length entry leaves its
+    ``k`` cycle slots free and another start's paths cannot use them up.
 
     Edge weights must be non-negative (Dijkstra's precondition); a
     negative weight raises :class:`~repro.errors.ExecutionError`.
@@ -691,105 +791,170 @@ def shortest_paths(
     if stats is None:
         stats = TraversalStats()
     topology = view.topology
-    vertices_map = topology.vertices
-    edges_map = topology.edges
-    directed = view.directed
+    out_pairs = topology.out_pairs
+    vertex_at = topology.vertex_at
+    edge_at = topology.edge_at
+    passes, positional = _edge_filters(spec)
+    memo = None if passes is None else bytearray(len(edge_at))
+    vertex_filters = spec.vertex_filters
     sum_bounds = spec.sum_bounds
+    min_length = spec.min_length
+    max_length = spec.max_length
     target_is_start = spec.target_is_start
-    static_target = spec.target_vertex_id
+    static_target = _target_slot(topology, spec)
+    heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
-    # entries: (cost, tiebreak, vertices, edges, running sums, non-negative)
+    # entries: (cost, tiebreak, vertex slots, edge slots, running sums,
+    # non-negative)
     heap: list = []
     settled: Dict[Any, int] = {}
+    examined = 0
+    visited = 0
+    peak = 0
     token = current_token()
-    for start in _start_vertices(view, start_ids):
-        if spec.vertex_allowed(0, start):
-            heapq.heappush(
-                heap,
-                (0.0, next(counter), (start,), (), (0.0,) * len(sum_bounds), True),
+    try:
+        for start in _start_vertices(view, start_ids):
+            if _allowed_at(vertex_filters, 0, start):
+                heappush(
+                    heap,
+                    (0.0, next(counter), (start.slot,), (),
+                     (0.0,) * len(sum_bounds), True),
+                )
+        # the slot whose filling ends the scan: the bound end vertex's,
+        # unless other starts share that end with the cycle route
+        starts = {entry[2][0] for entry in heap}
+        if static_target is None or target_is_start:
+            final_slot: Any = None
+        elif static_target not in starts:
+            final_slot = static_target
+        elif len(starts) == 1:
+            final_slot = (static_target, static_target)
+        else:
+            final_slot = None
+        while heap:
+            if len(heap) > peak:
+                peak = len(heap)
+            cost, _tiebreak, path_vertices, path_edges, sums, non_negative = (
+                heappop(heap)
             )
-    while heap:
-        stats.note_frontier(len(heap))
-        cost, _tiebreak, vertices, edges, sums, non_negative = heapq.heappop(heap)
-        stats.vertices_visited += 1
-        if token is not None:
-            token.tick_vertex()
-        tail = vertices[-1]
-        tail_id = tail.id
-        start_id = vertices[0].id
-        position = len(edges)
-        if position or not target_is_start:
-            slot = (start_id, tail_id) if target_is_start else tail_id
-            times_settled = settled.get(slot, 0)
-            if times_settled >= max_paths_per_vertex:
-                continue
-            settled[slot] = times_settled + 1
-        target = start_id if target_is_start else static_target
-        if position >= spec.min_length and (target is None or tail_id == target):
-            candidate = Path(vertices, edges, cost=cost)
-            if spec.admit(candidate, sums, stats, token):
-                yield candidate
-                if (
-                    static_target is not None
-                    and settled.get(static_target, 0) >= max_paths_per_vertex
-                ):
-                    return
-        if position and tail_id == start_id:
-            continue  # a closed cycle is terminal
-        if not spec.length_could_grow_to(position):
-            continue
-        on_path = {v.id for v in vertices}
-        for edge_id in tail.out_edges:
-            edge = edges_map[edge_id]
-            stats.edges_examined += 1
+            visited += 1
             if token is not None:
-                token.tick_edge()
-            if not spec.edge_allowed(position, edge):
-                continue
-            if directed:
-                next_id = edge.to_id
-            else:
-                next_id = edge.to_id if edge.from_id == tail_id else edge.from_id
-            if next_id in on_path and not (
-                target_is_start
-                and next_id == start_id
-                and position >= 1
-                and all(e.id != edge_id for e in edges)
-            ):
-                continue
-            slot = (start_id, next_id) if target_is_start else next_id
-            if settled.get(slot, 0) >= max_paths_per_vertex:
-                continue
-            next_vertex = vertices_map.get(next_id)
-            if next_vertex is None:
-                continue
-            if not spec.vertex_allowed(position + 1, next_vertex):
-                continue
-            weight = weight_of(edge)
-            weight = 0.0 if weight is None else float(weight)
-            if weight < 0:
-                raise ExecutionError(
-                    "SPScan requires non-negative edge weights "
-                    f"(edge {edge.id!r} has weight {weight})"
+                token.tick_vertex()
+            tail = path_vertices[-1]
+            start_slot = path_vertices[0]
+            position = len(path_edges)
+            cyclic = target_is_start or start_slot == static_target
+            if position or not cyclic:
+                slot = (
+                    _cycle_key(start_slot, path_vertices, tail)
+                    if cyclic else tail
                 )
-            new_sums, new_non_negative = sums, non_negative
-            if sum_bounds:
-                new_sums, new_non_negative = _extend_sums(
-                    sum_bounds, sums, edge, non_negative
-                )
-                if new_sums is None:
+                times_settled = settled.get(slot, 0)
+                if times_settled >= max_paths_per_vertex:
                     continue
-            heapq.heappush(
-                heap,
-                (
-                    cost + weight,
-                    next(counter),
-                    vertices + (next_vertex,),
-                    edges + (edge,),
-                    new_sums,
-                    new_non_negative,
-                ),
-            )
+                settled[slot] = times_settled + 1
+            target = start_slot if target_is_start else static_target
+            if position >= min_length and (target is None or tail == target):
+                candidate = _path(
+                    vertex_at, edge_at, path_vertices, path_edges, cost
+                )
+                if spec.admit(candidate, sums, stats, token):
+                    stats.add(visited, examined, peak)
+                    visited = examined = 0
+                    yield candidate
+                    if (
+                        slot == final_slot
+                        and settled[slot] >= max_paths_per_vertex
+                    ):
+                        return
+            if position and tail == start_slot:
+                continue  # a closed cycle is terminal
+            if max_length is not None and position >= max_length:
+                continue
+            on_path = set(path_vertices)
+            pairs = iter(out_pairs[tail])
+            for edge_slot in pairs:
+                next_slot = next(pairs)
+                examined += 1
+                if token is not None:
+                    token.tick_edge()
+                if memo is not None:
+                    verdict = memo[edge_slot]
+                    if not verdict:
+                        verdict = memo[edge_slot] = (
+                            1 if passes(edge_at[edge_slot]) else 2
+                        )
+                    if verdict == 2:
+                        continue
+                if positional and not _allowed_at(
+                    positional, position, edge_at[edge_slot]
+                ):
+                    continue
+                if next_slot in on_path and not (
+                    cyclic
+                    and next_slot == start_slot
+                    and position >= 1
+                    and edge_slot not in path_edges
+                ):
+                    continue
+                next_key = (
+                    _cycle_key(start_slot, path_vertices, next_slot)
+                    if cyclic else next_slot
+                )
+                if settled.get(next_key, 0) >= max_paths_per_vertex:
+                    continue
+                if vertex_filters and not _allowed_at(
+                    vertex_filters, position + 1, vertex_at[next_slot]
+                ):
+                    continue
+                edge = edge_at[edge_slot]
+                weight = weight_of(edge)
+                weight = 0.0 if weight is None else float(weight)
+                if weight < 0:
+                    raise ExecutionError(
+                        "SPScan requires non-negative edge weights "
+                        f"(edge {edge.id!r} has weight {weight})"
+                    )
+                new_sums, new_non_negative = sums, non_negative
+                if sum_bounds:
+                    new_sums, new_non_negative = _extend_sums(
+                        sum_bounds, sums, edge, non_negative
+                    )
+                    if new_sums is None:
+                        continue
+                heappush(
+                    heap,
+                    (
+                        cost + weight,
+                        next(counter),
+                        path_vertices + (next_slot,),
+                        path_edges + (edge_slot,),
+                        new_sums,
+                        new_non_negative,
+                    ),
+                )
+    finally:
+        stats.add(visited, examined, peak)
+
+
+def _cycle_key(start: int, path_vertices: Tuple[int, ...], vertex: int) -> Any:
+    """The settled-slot key of ``vertex`` on SPScan's cycle route.
+
+    The closing cycle counts per start. Every other vertex counts per
+    (start, first hop, vertex): each neighbour of the start grows its
+    own shortest-path tree, so a cycle is not lost when the cheapest way
+    to its last vertex runs through the very edge that would close it
+    (an undirected triangle, where the start reaches both neighbours
+    directly).
+    """
+    if vertex == start:
+        return (start, start)
+    first_hop = path_vertices[1] if len(path_vertices) > 1 else vertex
+    return (start, first_hop, vertex)
+
+
+def _one_hop(edge: Edge) -> float:
+    return 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -186,8 +186,11 @@ class TestGraphMaintenanceEquivalence:
         )
         assert set(view.topology.vertices) == set(rebuilt.topology.vertices)
         assert set(view.topology.edges) == set(rebuilt.topology.edges)
+        def edge_ids(edges):
+            return sorted(edge.id for edge in edges)
+
         for vertex_id in view.topology.vertices:
-            maintained = view.topology.vertex(vertex_id)
-            fresh = rebuilt.topology.vertex(vertex_id)
-            assert sorted(maintained.out_edges) == sorted(fresh.out_edges)
-            assert sorted(maintained.in_edges) == sorted(fresh.in_edges)
+            for adjacent in ("out_edges_of", "in_edges_of"):
+                maintained = getattr(view.topology, adjacent)(vertex_id)
+                fresh = getattr(rebuilt.topology, adjacent)(vertex_id)
+                assert edge_ids(maintained) == edge_ids(fresh)

@@ -294,3 +294,111 @@ class TestShortestPathsAgainstNetworkx:
         assert len(cycles) == 1
         assert cycles[0].start_vertex_id == cycles[0].end_vertex_id == 0
         assert cycles[0].cost == pytest.approx(min(closing))
+
+
+# ---------------------------------------------------------------------------
+# maintenance: a topology kept up to date by DML equals a fresh build
+# ---------------------------------------------------------------------------
+
+#: Statement templates: ``{x}`` / ``{y}`` are vertex ids, ``{e}`` / ``{f}``
+#: edge ids. Statements the engine refuses (a duplicate key, a vertex
+#: still referenced, an edge to a missing vertex) are part of the stream:
+#: they roll back through the same listeners — inside an explicit
+#: transaction by aborting it, because a refused statement there is not
+#: undone on its own.
+DML = [
+    "INSERT INTO V VALUES ({x})",
+    "DELETE FROM V WHERE id = {x}",
+    "UPDATE V SET id = {y} WHERE id = {x}",
+    "INSERT INTO E VALUES ({e}, {x}, {y}, {w})",
+    "INSERT INTO E VALUES ({e}, {x}, {y}, {w}), ({f}, {y}, {x}, {w})",
+    "DELETE FROM E WHERE id = {e}",
+    "DELETE FROM E WHERE id >= {e} AND id < {f}",
+    "UPDATE E SET id = {f} WHERE id = {e}",
+    "UPDATE E SET d = {y} WHERE id = {e}",
+    "BEGIN",
+    "COMMIT",
+    "ROLLBACK",
+]
+
+maintenance_ops = st.lists(
+    st.tuples(
+        st.sampled_from(DML),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=0, max_value=9),
+        st.integers(min_value=1, max_value=4),
+    ),
+    max_size=40,
+)
+
+
+def _run_dml(db, template, x, y, e, f, w):
+    from repro.errors import DatabaseError
+
+    if template == "BEGIN":
+        if not db.transactions.in_transaction:
+            db.begin()
+    elif template in ("COMMIT", "ROLLBACK"):
+        if db.transactions.in_transaction:
+            (db.commit if template == "COMMIT" else db.rollback)()
+    else:
+        try:
+            db.execute(template.format(x=x, y=y, e=e, f=f, w=w))
+        except DatabaseError:
+            if db.transactions.in_transaction:
+                db.rollback()
+
+
+def _scan_results(view, start):
+    """What each of the four scans answers from ``start``, in a form that
+    does not depend on adjacency order: the full path set of the
+    enumerations, the hop length / cost per end vertex of visited-once and
+    SPScan (which path wins a tie follows adjacency order)."""
+    def key(path):
+        return (tuple(path.vertex_ids()), tuple(path.edge_ids()))
+
+    weight = view.edge_attribute_reader("w")
+    return (
+        sorted(key(p) for p in dfs_paths(view, [start], TraversalSpec(max_length=3))),
+        sorted(key(p) for p in bfs_paths(view, [start], TraversalSpec(max_length=3))),
+        sorted((p.end_vertex_id, p.length) for p in bfs_paths(
+            view, [start], TraversalSpec(unique_vertices=True))),
+        sorted((p.end_vertex_id, p.cost) for p in shortest_paths(
+            view, [start], TraversalSpec(), weight)),
+    )
+
+
+class TestMaintenanceMatchesRebuild:
+    @given(st.booleans(), maintenance_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_maintained_topology_equals_a_fresh_view(self, directed, ops):
+        from repro import Database
+
+        db = Database()
+        db.execute("CREATE TABLE V (id INTEGER PRIMARY KEY)")
+        db.execute("CREATE TABLE E (id INTEGER PRIMARY KEY, s INTEGER, "
+                   "d INTEGER, w FLOAT)")
+        db.load_rows("V", [(i,) for i in range(4)])
+        db.load_rows("E", [(0, 0, 1, 1.0), (1, 1, 2, 2.0), (2, 2, 0, 1.0)])
+        kind = "DIRECTED" if directed else "UNDIRECTED"
+        view_sql = (f"CREATE {kind} GRAPH VIEW {{name}} VERTEXES(ID = id) "
+                    "FROM V EDGES(ID = id, FROM = s, TO = d, w = w) FROM E")
+        db.execute(view_sql.format(name="g"))
+        for op in ops:
+            _run_dml(db, *op)
+        if db.transactions.in_transaction:
+            db.rollback()
+        db.execute(view_sql.format(name="fresh"))
+        maintained, fresh = db.graph_view("g"), db.graph_view("fresh")
+
+        assert maintained.topology_digest() == fresh.topology_digest()
+        vertex_ids = sorted(fresh.topology.vertices)
+        assert sorted(maintained.topology.vertices) == vertex_ids
+        for vertex_id in vertex_ids:
+            ours = maintained.topology.vertex(vertex_id)
+            theirs = fresh.topology.vertex(vertex_id)
+            assert (ours.fan_in, ours.fan_out) == (theirs.fan_in, theirs.fan_out)
+            assert _scan_results(maintained, vertex_id) == _scan_results(
+                fresh, vertex_id)
