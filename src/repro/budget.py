@@ -23,11 +23,12 @@ mistaken query from taking the engine down:
 
 Statement execution is serial *per thread* (single-partition, like the
 VoltDB substrate), but the network server runs one session per thread
-with reads executing concurrently, so the active token is kept in a
-**thread-local** stack: operators look it up once per iteration start
-via :func:`current_token` and pay one branch per row when no budget is
-configured. Tokens never leak across threads — two sessions running
-budgeted queries concurrently each observe only their own token.
+with reads executing concurrently, so the active token lives in the
+thread's ambient statement context (:mod:`repro.ambient`): operators
+look it up once per iteration start via
+:func:`~repro.ambient.current_token` and pay one branch per row when no
+budget is configured. Tokens never leak across threads — two sessions
+running budgeted queries concurrently each observe only their own token.
 
 Checks are amortized: resource counters compare on every tick (cheap
 integer compares, deterministic), the clock is read every
@@ -37,9 +38,8 @@ syscall per edge.
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from .errors import (
     QueryCancelledError,
@@ -326,77 +326,3 @@ class CancellationToken:
             f"undo={self.peak_undo_depth}, "
             f"elapsed={self.elapsed_ms():.1f}ms)"
         )
-
-
-# ---------------------------------------------------------------------------
-# ambient token (thread-local: one stack per executing thread)
-# ---------------------------------------------------------------------------
-
-
-class _AmbientStack(threading.local):
-    """Per-thread stack of active tokens.
-
-    ``threading.local`` calls ``__init__`` once per thread, so every
-    thread (each server session, the single-writer executor, the main
-    thread) starts with its own empty stack and can never observe —
-    or pop — a token pushed by another thread.
-    """
-
-    def __init__(self):
-        self.items: List[CancellationToken] = []
-
-
-_AMBIENT = _AmbientStack()
-
-
-def _stack() -> List[CancellationToken]:
-    """This thread's token stack (tests introspect it)."""
-    return _AMBIENT.items
-
-
-def current_token() -> Optional[CancellationToken]:
-    """The token governing this thread's innermost statement (or None)."""
-    items = _AMBIENT.items
-    return items[-1] if items else None
-
-
-def deactivate(token: Optional[CancellationToken]) -> None:
-    """Remove every occurrence of ``token`` from this thread's stack.
-
-    Backstop for lazy consumers: a generator that pushed ``token`` for
-    the duration of a pull uses this in a ``finally`` so that closing
-    the generator early (or a pull that raises) can never strand the
-    token and silently govern unrelated statements that run later.
-    """
-    if token is None:
-        return
-    items = _AMBIENT.items
-    for index in range(len(items) - 1, -1, -1):
-        if items[index] is token:
-            del items[index]
-
-
-class activate:
-    """Context manager installing ``token`` as the ambient token.
-
-    Removal is by identity (not strict stack discipline) so interleaved
-    lazy consumers — two suspended ``Database.stream`` generators, say —
-    cannot pop each other's token.
-    """
-
-    __slots__ = ("token",)
-
-    def __init__(self, token: CancellationToken):
-        self.token = token
-
-    def __enter__(self) -> CancellationToken:
-        _AMBIENT.items.append(self.token)
-        return self.token
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        items = _AMBIENT.items
-        for index in range(len(items) - 1, -1, -1):
-            if items[index] is self.token:
-                del items[index]
-                break
-        return False

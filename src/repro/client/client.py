@@ -73,6 +73,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from .. import ambient
 from ..core.result import ResultSet
 from ..errors import ClientConnectionError, ProtocolError, RemoteError
 from ..observability import tracing as observability_tracing
@@ -496,30 +497,17 @@ class Client:
         message: Dict[str, Any] = {"type": "QUERY", "sql": sql}
         if budget is not None:
             message["budget"] = budget
-        trace = self._stamp_trace(message)
-        if trace is None:
-            return self._collect_result(
-                message, retry=self.reconnect and idempotent
-            )
-        with observability_tracing.span(
-            "client.execute", context=trace, own=True,
-            sql=strip_leading_sql_comments(sql)[:80],
-        ):
-            return self._collect_result(
-                message, retry=self.reconnect and idempotent
-            )
+        return self._traced(
+            self._collect_result, message, self.reconnect and idempotent,
+            "client.execute", sql=strip_leading_sql_comments(sql)[:80],
+        )
 
     def prepare(self, sql: str) -> Prepared:
         message: Dict[str, Any] = {"type": "PREPARE", "sql": sql}
-        trace = self._stamp_trace(message)
-        if trace is None:
-            reply = self._request(message, retry=self.reconnect)
-        else:
-            with observability_tracing.span(
-                "client.prepare", context=trace, own=True,
-                sql=strip_leading_sql_comments(sql)[:80],
-            ):
-                reply = self._request(message, retry=self.reconnect)
+        reply = self._traced(
+            self._request, message, self.reconnect,
+            "client.prepare", sql=strip_leading_sql_comments(sql)[:80],
+        )
         prepared = Prepared(
             self, sql, reply["statement"],
             reply.get("params", 0), reply.get("columns", []),
@@ -535,43 +523,39 @@ class Client:
         }
         if budget is not None:
             message["budget"] = budget
-        trace = self._stamp_trace(message)
-        if trace is None:
-            # prepared statements are SELECT-only, hence always retryable
-            return self._collect_result(message, retry=self.reconnect)
-        with observability_tracing.span(
-            "client.execute", context=trace, own=True,
-            statement=prepared.handle,
-        ):
-            return self._collect_result(message, retry=self.reconnect)
+        # prepared statements are SELECT-only, hence always retryable
+        return self._traced(
+            self._collect_result, message, self.reconnect,
+            "client.execute", statement=prepared.handle,
+        )
 
-    def _stamp_trace(
-        self, message: Dict[str, Any]
-    ) -> Optional[observability_tracing.TraceContext]:
-        """Stamp a trace context on ``message``.
+    def _traced(self, send, message: Dict[str, Any], retry: bool,
+                name: str, **attrs):
+        """``send(message, retry)`` — one request — inside its client
+        span, whose context is stamped on ``message``.
 
-        Inside an active trace (a router fanning a client's statement
-        out to its shards) the stamp is a *child* of the ambient
-        context, so every hop of the fan-out shares the original
-        trace_id; otherwise a fresh root is minted. Stamping happens
-        *before* the retry loops, so an OVERLOADED backoff or a
+        Inside a trace (a router's hop to its shards) the span is a
+        child of the ambient context, so every hop shares the
+        statement's trace_id; otherwise this is where a trace starts,
+        its sampling decision rolled here and nowhere else. The stamp
+        goes on *before* the retry loops, so an OVERLOADED backoff or a
         NOT_PRIMARY leader chase re-sends the same ``trace`` value —
-        the whole journey shares one trace_id. Returns ``None``
-        (nothing stamped) when tracing is disabled.
+        the whole journey shares one trace_id. With tracing disabled
+        nothing is minted, stamped or recorded.
         """
         collector = observability_tracing.recording_collector()
         if collector is None:
-            return None
-        ambient = observability_tracing.current_trace()
-        if ambient is not None and ambient.sampled:
-            context = ambient.child()
-        else:
-            context = observability_tracing.TraceContext.new(
-                sampled=collector.sample()
+            return send(message, retry)
+        if ambient.current_trace() is None:
+            opened = observability_tracing.span.root(
+                name, collector.sample(), **attrs
             )
-        if context.sampled:
-            message["trace"] = context.to_wire()
-        return context if context.sampled else None
+        else:
+            opened = observability_tracing.span(name, **attrs)
+        with opened:
+            if opened.context is not None:
+                message["trace"] = opened.context.to_wire()
+            return send(message, retry)
 
     def set_budget(self, budget: Optional[Dict[str, Any]]) -> None:
         """Install (or clear, with None) the session-level budget."""

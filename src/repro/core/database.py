@@ -27,7 +27,7 @@ import math
 import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .. import budget as budget_module
+from .. import ambient
 from ..budget import CancellationToken, QueryBudget
 from ..errors import (
     CatalogError,
@@ -41,8 +41,6 @@ from ..errors import (
 from ..expr.compile import ExpressionCompiler
 from ..expr.scope import RelationBinding, Scope
 from ..graph.graph_view import GraphView, build_graph_view
-from ..observability import context as observability_context
-from ..observability import tracer as tracer_module
 from ..observability import tracing as tracing_module
 from ..observability.metrics import recording_registry
 from ..observability.slowlog import SlowQueryLog
@@ -110,21 +108,17 @@ def _stream_rows(operator, token: Optional[CancellationToken]):
             yield tuple(row)
         return
     iterator = iter(operator)
-    try:
-        while True:
-            # the ambient token is scoped to each pull, so interleaved
-            # statements (or other streams) govern themselves correctly
-            with budget_module.activate(token):
-                row = next(iterator, _STREAM_DONE)
-                if row is _STREAM_DONE:
-                    return
-                token.tick_rows()
-            yield tuple(row)
-    finally:
-        # closing the generator early (or an exception escaping a
-        # pull) must never strand the token on the ambient stack,
-        # where it would govern unrelated statements
-        budget_module.deactivate(token)
+    while True:
+        # the ambient token is scoped to each pull — never held across
+        # a ``yield`` — so interleaved statements (or other streams)
+        # govern themselves, and a generator closed early or a pull
+        # that raises strands nothing
+        with ambient.activate(token=token):
+            row = next(iterator, _STREAM_DONE)
+            if row is _STREAM_DONE:
+                return
+            token.tick_rows()
+        yield tuple(row)
 
 
 class Database:
@@ -295,7 +289,7 @@ class Database:
             if token is None:
                 result = self._execute_statement(statement, prepared)
             else:
-                with budget_module.activate(token):
+                with ambient.activate(token=token):
                     result = self._execute_statement(statement, prepared, token)
         except (ResourceExhaustedError, QueryCancelledError) as exc:
             self._record_statement_abort(kind, exc)
@@ -328,14 +322,13 @@ class Database:
                 help="End-to-end statement latency in milliseconds.",
             ).observe(elapsed_ms)
         rows = len(result.rows) if result.rows else 0
-        session = observability_context.current_session_label()
-        trace = tracing_module.current_trace()
+        session = ambient.current_session()
+        trace = ambient.current_trace()
         if trace is not None:
             # the execution span: parse + plan + run, as measured here
             tracing_module.record_span(
                 "db.execute",
                 elapsed_ms,
-                context=trace,
                 kind=kind,
                 rows=rows,
                 session=session or None,
@@ -347,7 +340,7 @@ class Database:
             kind,
             session,
             trace_id=trace.trace_id if trace is not None else "",
-            node=tracing_module.current_node_label(),
+            node=ambient.current_node(),
         ):
             if registry is not None:
                 registry.counter(
@@ -365,7 +358,7 @@ class Database:
                 cause=cause,
                 kind=kind,
             ).inc()
-        tracer = tracer_module.current_tracer()
+        tracer = ambient.current_tracer()
         if tracer is not None:
             tracer.record_abort(f"{cause}: {exc}")
 
@@ -479,15 +472,11 @@ class Database:
         started = time.perf_counter()
         row_count = 0
         try:
-            with tracer_module.activate(tracer):
-                if token is None:
-                    for _row in planned.operator:
-                        row_count += 1
-                else:
-                    with budget_module.activate(token):
-                        for _row in planned.operator:
-                            token.tick_rows()
-                            row_count += 1
+            with ambient.activate(token=token, tracer=tracer):
+                for _row in planned.operator:
+                    if token is not None:
+                        token.tick_rows()
+                    row_count += 1
         except (ResourceExhaustedError, QueryCancelledError) as exc:
             # the partial actuals are the interesting part of an aborted
             # run, so render them instead of re-raising
@@ -673,16 +662,25 @@ class Database:
         )
 
     def _in_transaction(self, run) -> ResultSet:
-        """Run a write inside the active or an implicit transaction."""
-        if self.transactions.in_transaction:
-            return run()
-        self.transactions.begin()
+        """Run a write inside the active or an implicit transaction. A
+        write that raises is undone on its own: back to the undo mark it
+        started at, so an explicit transaction keeps only the statements
+        that succeeded — what the command log holds for it."""
+        transactions = self.transactions
+        if transactions.in_transaction:
+            mark = transactions.active.undo_depth
+            try:
+                return run()
+            except BaseException:
+                transactions.rollback_to(mark)
+                raise
+        transactions.begin()
         try:
             result = run()
         except BaseException:
-            self.transactions.rollback()
+            transactions.rollback()
             raise
-        self.transactions.commit()
+        transactions.commit()
         return result
 
     def _compile(self, statement: ast.Statement):
@@ -1311,7 +1309,7 @@ class PreparedQuery:
         if token is None:
             rows = [tuple(row) for row in planned.operator]
         else:
-            with budget_module.activate(token):
+            with ambient.activate(token=token):
                 rows = []
                 for row in planned.operator:
                     token.tick_rows()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Sequence
 
-from ..budget import current_token
+from ..ambient import current_token
 from ..expr.compile import CompiledExpression
 from .operators import Operator, Row
 

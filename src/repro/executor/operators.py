@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
-from ..budget import current_token
+from ..ambient import current_token, current_tracer
 from ..expr.compile import CompiledExpression
-from ..observability.tracer import current_tracer
 from ..storage.index import Index, OrderedIndex
 from ..storage.table import Table
 

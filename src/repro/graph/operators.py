@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
-from ..budget import current_token
+from ..ambient import current_token, current_tracer
 from ..errors import PlanningError
 from ..executor.operators import Operator, Row
-from ..observability.tracer import current_tracer
 from .graph_view import GraphView
 from .traversal import (
     TraversalSpec,

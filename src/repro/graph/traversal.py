@@ -48,7 +48,7 @@ import math
 from collections import deque
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..budget import current_token
+from ..ambient import current_token
 from ..errors import ExecutionError
 from .graph_view import GraphView
 from .path import Path

@@ -7,15 +7,12 @@ Three cooperating pieces:
   histograms) updated at the engine's instrumentation seams and
   rendered as Prometheus text or a JSON snapshot;
 * :mod:`~repro.observability.tracer` — a per-query :class:`QueryTracer`
-  hanging :class:`OperatorSpan` objects off the ambient execution
-  context (the same plumbing pattern as the query budget), powering
-  ``EXPLAIN ANALYZE``;
+  hanging :class:`OperatorSpan` objects off the ambient statement
+  context (:mod:`repro.ambient`, next to the query budget's token),
+  powering ``EXPLAIN ANALYZE``;
 * :mod:`~repro.observability.slowlog` — a per-database
   :class:`SlowQueryLog` with a configurable latency threshold and
-  per-session attribution;
-* :mod:`~repro.observability.context` — the ambient (thread-local)
-  session label the network server installs so shared seams like the
-  slow-query log can attribute work to the client that sent it;
+  per-session attribution (the ambient session label);
 * :mod:`~repro.observability.tracing` — cluster-wide distributed
   tracing: a W3C-traceparent-style :class:`TraceContext` stamped on
   every client frame and shipped with every replicated record, plus a
@@ -31,7 +28,6 @@ Three cooperating pieces:
 See ``docs/observability.md`` for the full tour.
 """
 
-from .context import current_session_label, session_label, set_session_label
 from .events import Event, EventJournal, emit, get_journal
 from .metrics import (
     DEFAULT_BUCKETS_MS,
@@ -46,12 +42,11 @@ from .metrics import (
 )
 from .http import ObservabilityHttpServer
 from .slowlog import SlowQueryEntry, SlowQueryLog
-from .tracer import OperatorSpan, QueryTracer, current_tracer
+from .tracer import OperatorSpan, QueryTracer
 from .tracing import (
     Span,
     SpanCollector,
     TraceContext,
-    current_trace,
     get_collector,
     record_span,
     recording_collector,
@@ -71,16 +66,11 @@ __all__ = [
     "metrics_enabled",
     "QueryTracer",
     "OperatorSpan",
-    "current_tracer",
     "SlowQueryLog",
     "SlowQueryEntry",
-    "current_session_label",
-    "set_session_label",
-    "session_label",
     "TraceContext",
     "Span",
     "SpanCollector",
-    "current_trace",
     "get_collector",
     "recording_collector",
     "record_span",

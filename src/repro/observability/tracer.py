@@ -1,12 +1,12 @@
 """Per-query operator tracing: the measured half of EXPLAIN ANALYZE.
 
 A :class:`QueryTracer` hangs :class:`OperatorSpan` objects off the
-ambient execution context, exactly like the resource governor's
-:class:`~repro.budget.CancellationToken` (thread-local stack,
-``current_tracer()`` lookup at iteration start, identity-based removal
-so interleaved lazy consumers cannot pop each other's tracer). The
-stack is per-thread so concurrent server sessions tracing their own
-statements never interleave spans.
+ambient statement context (:mod:`repro.ambient`), next to the resource
+governor's :class:`~repro.budget.CancellationToken`: installed with
+``ambient.activate(tracer=...)``, looked up with
+``ambient.current_tracer()`` at iteration start. The context is
+per-thread so concurrent server sessions tracing their own statements
+never interleave spans.
 
 The hot-path contract mirrors the budget plumbing: with no tracer
 active, :meth:`~repro.executor.operators.Operator.__iter__` performs a
@@ -29,7 +29,6 @@ plan node).
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -198,65 +197,3 @@ class QueryTracer:
         for child in root.children():
             lines.append(self.annotate(child, indent + 1))
         return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# ambient tracer (thread-local — same shape as repro.budget)
-# ---------------------------------------------------------------------------
-
-
-class _AmbientStack(threading.local):
-    """Per-thread stack of active tracers (one per executing thread)."""
-
-    def __init__(self):
-        self.items: List[QueryTracer] = []
-
-
-_AMBIENT = _AmbientStack()
-
-
-def _stack() -> List[QueryTracer]:
-    """This thread's tracer stack (tests introspect it)."""
-    return _AMBIENT.items
-
-
-def current_tracer() -> Optional[QueryTracer]:
-    """The tracer observing this thread's innermost statement (or None)."""
-    items = _AMBIENT.items
-    return items[-1] if items else None
-
-
-def deactivate(tracer: Optional[QueryTracer]) -> None:
-    """Remove every occurrence of ``tracer`` from this thread's stack
-    (backstop for lazy consumers, mirroring ``budget.deactivate``)."""
-    if tracer is None:
-        return
-    items = _AMBIENT.items
-    for index in range(len(items) - 1, -1, -1):
-        if items[index] is tracer:
-            del items[index]
-
-
-class activate:
-    """Context manager installing ``tracer`` as the ambient tracer.
-
-    Removal is by identity, not strict stack discipline, so interleaved
-    lazy consumers cannot pop each other's tracer.
-    """
-
-    __slots__ = ("tracer",)
-
-    def __init__(self, tracer: QueryTracer):
-        self.tracer = tracer
-
-    def __enter__(self) -> QueryTracer:
-        _AMBIENT.items.append(self.tracer)
-        return self.tracer
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        items = _AMBIENT.items
-        for index in range(len(items) - 1, -1, -1):
-            if items[index] is self.tracer:
-                del items[index]
-                break
-        return False

@@ -9,15 +9,17 @@ Context:
 
 * :class:`TraceContext` — an immutable ``(trace_id, span_id, parent_id,
   sampled)`` tuple serialized to/from the ``traceparent`` header format
-  (``00-<32 hex>-<16 hex>-<01|00>``). The client mints one root context
-  per statement and stamps it on every ``QUERY``/``PREPARE``/``EXECUTE``
+  (``00-<32 hex>-<16 hex>-<01|00>``). The client opens one trace per
+  statement (or joins the ambient one, on a router's backend hop) and
+  stamps its span's context on every ``QUERY``/``PREPARE``/``EXECUTE``
   frame; because the stamp happens *before* the retry loop, a write
   bounced off a deposed primary with ``NOT_PRIMARY`` retries under the
   **same** trace_id and the trace shows both nodes.
-* an ambient per-thread context stack mirroring the budget/tracer
-  plumbing (``current_trace()`` is one thread-local read; ``activate``
-  is a context manager with identity-based removal), so deep seams like
-  the command log's fsync need no plumbed-through argument.
+* :class:`span` — a span *is* the context it opens: entering one mints
+  a child of the ambient context (:mod:`repro.ambient`) and makes it
+  ambient for the block, so nesting needs no plumbed-through argument;
+  :func:`record_span` records a leaf under whatever is ambient (the
+  command log's fsync, the queue wait, replication).
 * :class:`SpanCollector` — a bounded, lock-safe ring of finished
   :class:`Span` objects with head-based sampling and JSON export,
   served by the ``TRACES`` wire message and the per-node HTTP
@@ -40,6 +42,8 @@ import threading
 import time
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
+
+from ..ambient import _LOCAL, current_trace, remove
 
 #: ``traceparent`` version prefix we emit (and the only one we parse).
 _WIRE_VERSION = "00"
@@ -101,7 +105,8 @@ class TraceContext:
         return cls(new_trace_id(), new_span_id(), None, sampled)
 
     def child(self) -> "TraceContext":
-        """A child context: same trace, fresh span, parent = this span."""
+        """A child context: same trace, fresh span, parent = this span
+        (what :class:`span` opens)."""
         return TraceContext(
             self.trace_id, new_span_id(), self.span_id, self.sampled
         )
@@ -268,183 +273,94 @@ class SpanCollector:
 
 
 # ---------------------------------------------------------------------------
-# ambient context (thread-local — same shape as tracer/budget stacks)
+# recording: a span is the context it opens
 # ---------------------------------------------------------------------------
 
 
-class _AmbientTrace(threading.local):
-    """Per-thread stack of active trace contexts + the node label."""
+def record_span(name: str, duration_ms: float, **attrs: Any) -> Optional[Span]:
+    """Record one finished leaf span under the ambient trace context.
 
-    def __init__(self):
-        self.items: List[TraceContext] = []
-        self.node_label: str = ""
-
-
-_AMBIENT = _AmbientTrace()
-
-
-def _stack() -> List[TraceContext]:
-    """This thread's context stack (tests introspect it)."""
-    return _AMBIENT.items
-
-
-def current_trace() -> Optional[TraceContext]:
-    """The context governing this thread's innermost statement (or None)."""
-    items = _AMBIENT.items
-    return items[-1] if items else None
-
-
-def deactivate(context: Optional[TraceContext]) -> None:
-    """Remove every occurrence of ``context`` from this thread's stack."""
-    if context is None:
-        return
-    items = _AMBIENT.items
-    for index in range(len(items) - 1, -1, -1):
-        if items[index] is context:
-            del items[index]
-
-
-class activate:
-    """Context manager installing a trace context as the ambient one.
-
-    Accepts ``None`` (no-op) so call sites need no conditional around
-    the ``with`` — an untraced statement just runs with nothing pushed.
+    Deep seams (queue wait, fsync, replication ship and apply) record
+    this way: a fresh span_id, parented to the span whose context is
+    ambient, attributed to this thread's node label. ``None`` attrs are
+    dropped. Returns the recorded span, or ``None`` when tracing is off,
+    no context is ambient, or the trace is unsampled.
     """
-
-    __slots__ = ("context",)
-
-    def __init__(self, context: Optional[TraceContext]):
-        self.context = context
-
-    def __enter__(self) -> Optional[TraceContext]:
-        if self.context is not None:
-            _AMBIENT.items.append(self.context)
-        return self.context
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.context is None:
-            return False
-        items = _AMBIENT.items
-        for index in range(len(items) - 1, -1, -1):
-            if items[index] is self.context:
-                del items[index]
-                break
-        return False
-
-
-def current_node_label() -> str:
-    """The node name attributed to spans recorded on this thread."""
-    return _AMBIENT.node_label
-
-
-def set_node_label(label: Optional[str]) -> None:
-    """Install this thread's node label (cluster node name, or "")."""
-    _AMBIENT.node_label = label or ""
-
-
-class node_label:
-    """Context manager scoping a node label to a block (writer thread)."""
-
-    __slots__ = ("label", "_previous")
-
-    def __init__(self, label: Optional[str]):
-        self.label = label or ""
-        self._previous = ""
-
-    def __enter__(self) -> "node_label":
-        self._previous = _AMBIENT.node_label
-        _AMBIENT.node_label = self.label
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        _AMBIENT.node_label = self._previous
-        return False
-
-
-# ---------------------------------------------------------------------------
-# recording helpers
-# ---------------------------------------------------------------------------
-
-
-def record_span(
-    name: str,
-    duration_ms: float,
-    context: Optional[TraceContext] = None,
-    node: Optional[str] = None,
-    started_at: Optional[float] = None,
-    own: bool = False,
-    **attrs: Any,
-) -> Optional[Span]:
-    """Record one finished span under ``context`` (default: ambient).
-
-    By default the span gets a fresh span_id and is parented to the
-    context's span_id — deep seams (queue wait, fsync, replica apply)
-    are leaves under whichever stage installed the ambient context.
-    With ``own=True`` the span *is* the context's span (span_id =
-    ``context.span_id``, parent = ``context.parent_id``) — the server
-    statement span uses this so leaves recorded under the same context
-    nest beneath it. Returns the recorded span, or ``None`` when
-    tracing is off, no context is active, or the trace is unsampled.
-    """
-    collector = _COLLECTOR if _ENABLED else None
-    if collector is None:
+    if not _ENABLED:
         return None
-    if context is None:
-        context = current_trace()
+    context = current_trace()
     if context is None or not context.sampled:
         return None
     if attrs:
         attrs = {k: v for k, v in attrs.items() if v is not None}
     span = Span(
         context.trace_id,
-        context.span_id if own else new_span_id(),
-        context.parent_id if own else context.span_id,
+        new_span_id(),
+        context.span_id,
         name,
-        node if node is not None else _AMBIENT.node_label,
-        started_at
-        if started_at is not None
-        else time.time() - duration_ms / 1000.0,
+        _LOCAL.node,
+        time.time() - duration_ms / 1000.0,
         duration_ms,
         attrs,
     )
-    collector.record(span)
+    _COLLECTOR.record(span)
     return span
 
 
 class span:
-    """Context manager timing a block into one recorded span.
+    """Time a block into one recorded span — and make it the trace
+    context of the block.
 
-    Resolves the ambient context at ``__enter__`` and records at
-    ``__exit__``; disabled tracing costs one ``is None`` check.
+    ``__enter__`` mints a child of the ambient sampled context and makes
+    it ambient, so every span and leaf recorded inside parents to this
+    one, and a client call made inside stamps it on the wire. With
+    tracing off, or no sampled context ambient, the block runs with
+    nothing minted or recorded: a span never starts a trace — only
+    :meth:`root` does, which the client calls. ``context`` is the minted
+    context (``None`` when nothing is recorded); an exception escaping
+    the block is recorded as the ``error`` attr.
     """
 
-    __slots__ = ("name", "context", "own", "attrs", "_started", "_wall")
+    __slots__ = ("name", "attrs", "context", "_parent", "_started", "_wall")
 
-    def __init__(
-        self,
-        name: str,
-        context: Optional[TraceContext] = None,
-        own: bool = False,
-        **attrs: Any,
-    ):
+    def __init__(self, name: str, **attrs: Any):
         self.name = name
-        self.context = context
-        self.own = own
         self.attrs = attrs
-        self._started = 0.0
-        self._wall = 0.0
+        self.context: Optional[TraceContext] = None
+        self._parent: Optional[TraceContext] = None
+
+    @classmethod
+    def root(cls, name: str, sampled: bool, **attrs: Any) -> "span":
+        """The first span of a new trace: its context has no parent, and
+        ``sampled`` is the trace's one sampling decision, which every
+        downstream span inherits."""
+        opened = cls(name, **attrs)
+        opened._parent = TraceContext(new_trace_id(), None, None, sampled)
+        return opened
 
     def __enter__(self) -> "span":
-        if self.context is None:
-            self.context = current_trace()
-        self._wall = time.time()
-        self._started = time.perf_counter()
+        if _ENABLED:
+            parent = self._parent
+            if parent is None:
+                traces = _LOCAL.traces
+                parent = traces[-1] if traces else None
+            if parent is not None and parent.sampled:
+                context = parent.child()
+                _LOCAL.traces.append(context)
+                self.context = context
+                self._wall = time.time()
+                self._started = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         context = self.context
-        if context is None or not context.sampled or not _ENABLED:
+        if context is None:
             return False
+        traces = _LOCAL.traces
+        if traces and traces[-1] is context:
+            traces.pop()
+        else:
+            remove(traces, context)
         # inlined record_span (no kwargs repacking): this runs once per
         # statement on the client and session threads
         elapsed_ms = (time.perf_counter() - self._started) * 1000.0
@@ -456,10 +372,10 @@ class span:
         _COLLECTOR.record(
             Span(
                 context.trace_id,
-                context.span_id if self.own else new_span_id(),
-                context.parent_id if self.own else context.span_id,
+                context.span_id,
+                context.parent_id,
                 self.name,
-                _AMBIENT.node_label,
+                _LOCAL.node,
                 self._wall,
                 elapsed_ms,
                 attrs,

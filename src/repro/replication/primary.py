@@ -26,6 +26,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Optional
 
+from ..ambient import current_trace
 from ..core.command_log import CommandLog, LogRecord, read_records
 from ..core.database import Database
 from ..core.snapshot import snapshot_to_dict
@@ -190,14 +191,13 @@ class Primary:
         # key is invisible to checksum verification), and record the
         # ship itself as a point span. Retransmissions go through
         # :meth:`_ship_message` directly and carry no trace.
-        trace = tracing_module.current_trace()
+        trace = current_trace()
         message = self._ship_message(record)
         if trace is not None and trace.sampled:
             message.data["trace"] = trace.to_wire()
             tracing_module.record_span(
                 "repl.ship",
                 0.0,
-                context=trace,
                 sequence=record.sequence,
                 epoch=record.epoch,
                 replicas=len(self.links),

@@ -35,6 +35,7 @@ import pathlib
 import time
 from typing import Any, Dict, Optional
 
+from .. import ambient
 from ..observability import events as events_module
 from ..observability import tracing as tracing_module
 
@@ -233,14 +234,13 @@ class Replica:
         # Retransmitted / recovered records carry no stamp and skip.
         context = tracing_module.TraceContext.from_wire(data.get("trace"))
         if context is not None:
-            tracing_module.record_span(
-                "repl.apply",
-                (time.perf_counter() - started) * 1000.0,
-                context=context,
-                node=self.name,
-                sequence=data["sequence"],
-                epoch=data["record_epoch"],
-            )
+            with ambient.adopt(ambient.Snapshot(context, self.name)):
+                tracing_module.record_span(
+                    "repl.apply",
+                    (time.perf_counter() - started) * 1000.0,
+                    sequence=data["sequence"],
+                    epoch=data["record_epoch"],
+                )
 
     def _check_digests(self) -> None:
         """Compare the primary's digests against our state — only at the

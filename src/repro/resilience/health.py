@@ -192,12 +192,12 @@ class HealthMonitor:
 
     @staticmethod
     def _emit_event(old: str, to: str, reason: str) -> None:
+        from ..ambient import current_node
         from ..observability import events as events_module
-        from ..observability import tracing as tracing_module
 
         events_module.emit(
             "health",
-            node=tracing_module.current_node_label(),
+            node=current_node(),
             **{"from": old, "to": to, "reason": reason or None},
         )
 

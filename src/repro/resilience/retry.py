@@ -179,11 +179,11 @@ class CircuitBreaker:
             self.consecutive_failures = 0
 
     def _emit(self, kind: str, **detail) -> None:
+        from ..ambient import current_node
         from ..observability import events as events_module
-        from ..observability import tracing as tracing_module
 
         events_module.emit(
-            kind, node=tracing_module.current_node_label(), **detail
+            kind, node=current_node(), **detail
         )
 
     def status(self) -> dict:

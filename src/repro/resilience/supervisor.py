@@ -278,9 +278,7 @@ class Supervisor:
         self.heals_attempted += 1
         if self.scheduler is not None:
             try:
-                return self.scheduler.execute_write(
-                    self._heal_locked, session="supervisor"
-                )
+                return self.scheduler.execute_write(self._heal_locked)
             except Exception:
                 return False
         return self._heal_locked()

@@ -34,13 +34,13 @@ import threading
 import time
 from typing import Any, Callable, Optional
 
+from .. import ambient
 from ..budget import CancellationToken
 from ..errors import (
     OverloadedError,
     QueryTimeoutError,
     ShuttingDownError,
 )
-from ..observability import context as observability_context
 from ..observability import tracing as observability_tracing
 from ..observability.metrics import recording_registry
 
@@ -112,34 +112,25 @@ class WriteTicket:
     __slots__ = (
         "fn",
         "token",
-        "session",
+        "snapshot",
         "done",
         "result",
         "error",
         "started",
-        "trace",
-        "node",
         "submitted_at",
     )
 
-    def __init__(
-        self,
-        fn: Callable[[], Any],
-        token: Optional[CancellationToken],
-        session: str,
-    ):
+    def __init__(self, fn: Callable[[], Any], token: Optional[CancellationToken]):
         self.fn = fn
         self.token = token
-        self.session = session
+        #: The submitting thread's trace and labels, adopted by the
+        #: writer thread: the write joins the statement's trace and is
+        #: attributed to the session that sent it.
+        self.snapshot = ambient.capture()
         self.done = threading.Event()
         self.result: Any = None
         self.error: Optional[BaseException] = None
         self.started = False
-        #: The submitting thread's ambient trace context + node label,
-        #: carried across to the writer thread exactly like ``session``
-        #: — so the executed write's spans join the statement's trace.
-        self.trace = observability_tracing.current_trace()
-        self.node = observability_tracing.current_node_label()
         self.submitted_at = time.perf_counter()
 
 
@@ -223,14 +214,13 @@ class SingleWriterScheduler:
         self,
         fn: Callable[[], Any],
         token: Optional[CancellationToken] = None,
-        session: str = "",
     ) -> WriteTicket:
         """Enqueue a write; raises OverloadedError when the queue is full."""
         if self._draining:
             raise ShuttingDownError("server is draining; no new statements")
         if not self._started:
             self.start()
-        ticket = WriteTicket(fn, token, session)
+        ticket = WriteTicket(fn, token)
         try:
             self._queue.put_nowait(ticket)
         except queue.Full:
@@ -246,7 +236,6 @@ class SingleWriterScheduler:
         self,
         fn: Callable[[], Any],
         token: Optional[CancellationToken] = None,
-        session: str = "",
     ) -> Any:
         """Submit and wait. Queue time is charged to the statement's
         deadline: if the budget expires while queued, the ticket is
@@ -261,7 +250,7 @@ class SingleWriterScheduler:
         skips the ticket; one it cancels later aborts the running write
         at its next check.
         """
-        ticket = self.submit_write(fn, token, session)
+        ticket = self.submit_write(fn, token)
         if token is None:
             ticket.done.wait()
         else:
@@ -316,27 +305,23 @@ class SingleWriterScheduler:
                 ticket.error = _cancelled_error(token)
                 ticket.done.set()
                 continue
-            if ticket.trace is not None:
-                # queue wait: submit -> start, attributed to the trace
-                observability_tracing.record_span(
-                    "queue.wait",
-                    (time.perf_counter() - ticket.submitted_at) * 1000.0,
-                    context=ticket.trace,
-                    node=ticket.node,
-                    session=ticket.session,
-                )
-            self._rwlock.acquire_write()
-            try:
-                with observability_context.session_label(ticket.session), \
-                        observability_tracing.node_label(ticket.node), \
-                        observability_tracing.activate(ticket.trace):
+            with ambient.adopt(ticket.snapshot) as snapshot:
+                if snapshot.trace is not None:
+                    # queue wait: submit -> start, under the trace
+                    observability_tracing.record_span(
+                        "queue.wait",
+                        (time.perf_counter() - ticket.submitted_at) * 1000.0,
+                        session=snapshot.session,
+                    )
+                self._rwlock.acquire_write()
+                try:
                     ticket.result = ticket.fn()
-            except BaseException as error:  # delivered to the submitter
-                ticket.error = error
-            finally:
-                self._rwlock.release_write()
-                self.writes_executed += 1
-                ticket.done.set()
+                except BaseException as error:  # delivered to the submitter
+                    ticket.error = error
+                finally:
+                    self._rwlock.release_write()
+            self.writes_executed += 1
+            ticket.done.set()
 
     # ------------------------------------------------------------------
     # gauges

@@ -33,6 +33,7 @@ import threading
 import time
 from typing import Any, Dict, Iterable, Optional, Tuple
 
+from .. import ambient
 from ..budget import CancellationToken, QueryBudget
 from ..core.database import Database, PreparedQuery, statement_is_write
 from ..errors import (
@@ -41,7 +42,6 @@ from ..errors import (
     PlanningError,
     ProtocolError,
 )
-from ..observability import context as observability_context
 from ..observability import events as observability_events
 from ..observability import tracing as observability_tracing
 from ..observability.metrics import get_registry, recording_registry
@@ -349,18 +349,20 @@ class Server:
         # every statement this thread runs inline (the read path) is
         # attributed to this session in the slow-query log, and every
         # span it records carries this node's name
-        observability_context.set_session_label(session.name)
-        observability_tracing.set_node_label(self._node_name() or "")
-        try:
-            while not session.disconnected:
-                try:
-                    request = session.frames.read_frame()
-                except (ProtocolError, OSError):
-                    return  # the peer is gone, or sent garbage
-                if request is None or not self._dispatch(session, request):
-                    return
-        finally:
-            self._teardown(session)
+        labels = ambient.Snapshot(
+            node=self._node_name() or "", session=session.name
+        )
+        with ambient.adopt(labels):
+            try:
+                while not session.disconnected:
+                    try:
+                        request = session.frames.read_frame()
+                    except (ProtocolError, OSError):
+                        return  # the peer is gone, or sent garbage
+                    if request is None or not self._dispatch(session, request):
+                        return
+            finally:
+                self._teardown(session)
 
     def _dispatch(self, session, request) -> bool:
         """Handle one request; False ends the session."""
@@ -446,18 +448,52 @@ class Server:
             return self._send_error(session, request_id, error)
         return self._send_frames(session.sock, _result_frames(request_id, result))
 
+    #: The span every statement this server runs is timed into.
+    _STATEMENT_SPAN = "server.statement"
+
     def _run_statement(self, session: Session, request):
-        cluster = self.cluster
-        statement_budget = protocol.budget_from_wire(request.get("budget"))
-        effective = QueryBudget.tightest(
+        """The statement prologue: the tightest budget and its token,
+        the client's trace context adopted from the wire, the token
+        watched, the statement span open — then
+        :meth:`_execute_request` inside it.
+
+        There is always a token: an unlimited one still carries the
+        session's disconnect probe into the operator loops. The spans
+        the statement records (queue wait, execution, fsync,
+        replication) nest under the statement span, which nests under
+        the client's.
+        """
+        budget = QueryBudget.tightest(
             self.db.planner_options.budget,
             self.db.budget,
             session.budget,
-            statement_budget,
+            protocol.budget_from_wire(request.get("budget")),
         )
-        # Always a token — an unlimited one still carries the session's
-        # disconnect probe into the operator loops.
-        token = effective.start() if effective is not None else CancellationToken()
+        token = budget.start() if budget is not None else CancellationToken()
+        stamped = None
+        if observability_tracing.tracing_enabled():
+            stamped = observability_tracing.TraceContext.from_wire(
+                request.get("trace")
+            )
+            if stamped is not None and not stamped.sampled:
+                stamped = None
+        session.watch(token)
+        session.statements += 1
+        try:
+            with ambient.activate(trace=stamped), observability_tracing.span(
+                self._STATEMENT_SPAN, session=session.name
+            ) as span:
+                return self._execute_request(
+                    session, request, budget, token, span
+                )
+        finally:
+            session.active_token = None
+
+    def _execute_request(self, session: Session, request, budget, token,
+                         span):
+        """Run one QUERY / EXECUTE request: reads inline under the
+        shared lock, writes through the single-writer queue."""
+        cluster = self.cluster
         if request.get("type") == "EXECUTE":
             runner, is_write = self._prepared_runner(session, request, token)
         else:
@@ -485,51 +521,27 @@ class Server:
             runner = lambda: self.db.execute_parsed(  # noqa: E731
                 executable, sql, token=token
             )
-        # Adopt the client's trace context: the statement's server-side
-        # spans (queue wait, execution, fsync, replication) all parent
-        # under this session span, which parents under the client span.
-        server_trace = None
-        if observability_tracing.recording_collector() is not None:
-            stamped = observability_tracing.TraceContext.from_wire(
-                request.get("trace")
+        span.attrs["write"] = is_write
+        if is_write and cluster is not None and not cluster.is_primary():
+            observability_events.emit(
+                "not_primary",
+                node=cluster.name,
+                session=session.name,
+                leader=cluster.leader_hint(),
             )
-            if stamped is not None and stamped.sampled:
-                server_trace = stamped.child()
-        session.watch(token)
-        session.statements += 1
-        try:
-            with observability_tracing.activate(server_trace), \
-                    observability_tracing.span(
-                        "server.statement",
-                        context=server_trace,
-                        own=True,
-                        session=session.name,
-                        write=is_write,
-                    ):
-                if is_write and cluster is not None and not cluster.is_primary():
-                    observability_events.emit(
-                        "not_primary",
-                        node=cluster.name,
-                        session=session.name,
-                        leader=cluster.leader_hint(),
-                    )
-                    raise NotPrimaryError(
-                        f"{cluster.name} is not the primary; "
-                        "writes go to the current leader",
-                        leader_hint=cluster.leader_hint(),
-                    )
-                if is_write:
-                    result = self.scheduler.execute_write(
-                        runner, token=token, session=session.name
-                    )
-                    if cluster is not None:
-                        # semi-sync: the client's acknowledgement is held
-                        # until the cluster's ack quorum has the write
-                        cluster.after_write()
-                    return result
-                return self.scheduler.run_read(runner)
-        finally:
-            session.active_token = None
+            raise NotPrimaryError(
+                f"{cluster.name} is not the primary; "
+                "writes go to the current leader",
+                leader_hint=cluster.leader_hint(),
+            )
+        if is_write:
+            result = self.scheduler.execute_write(runner, token=token)
+            if cluster is not None:
+                # semi-sync: the client's acknowledgement is held
+                # until the cluster's ack quorum has the write
+                cluster.after_write()
+            return result
+        return self.scheduler.run_read(runner)
 
     def _prepared_runner(self, session: Session, request, token):
         handle = request.get("statement")
@@ -660,9 +672,7 @@ class Server:
         # with a write in flight
         if self.db.transactions.in_transaction and not self._draining:
             try:
-                self.scheduler.execute_write(
-                    self.db.rollback, session=session.name
-                )
+                self.scheduler.execute_write(self.db.rollback)
             except DatabaseError:
                 pass
 

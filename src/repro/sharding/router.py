@@ -80,8 +80,8 @@ from ..errors import (
 from ..executor.aggregates import _NullAwareKey
 from ..expr.compile import ExpressionCompiler
 from ..expr.scope import RelationBinding, Scope
+from .. import ambient
 from ..observability import tracing as observability_tracing
-from ..budget import CancellationToken, QueryBudget
 from ..server import protocol
 from ..server.server import Server, Session
 from ..sql import ast
@@ -91,11 +91,6 @@ from .shard_map import ShardMap, bound_partition_keys, stable_hash
 
 #: Aggregates the scatter tier knows how to re-aggregate at the router.
 _MERGEABLE_AGGREGATES = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
-
-#: Subquery expression forms — their presence forces the gather tier
-#: (a subquery evaluated on one shard would only see that shard's
-#: slice of whatever tables it references).
-_SUBQUERY_NODES = (ast.InSubquery, ast.ExistsSubquery, ast.CorrelatedSubquery)
 
 #: Routing-plan cache size. Plans are per SQL text and catalog version:
 #: DDL moves the version, so a plan made before it is never found again.
@@ -345,45 +340,17 @@ class Router(Server):
     # statement routing
     # ------------------------------------------------------------------
 
-    def _run_statement(self, session: Session, request):
-        statement_budget = protocol.budget_from_wire(request.get("budget"))
-        effective = QueryBudget.tightest(
-            self.db.planner_options.budget,
-            self.db.budget,
-            session.budget,
-            statement_budget,
-        )
-        token = (
-            effective.start() if effective is not None else CancellationToken()
-        )
-        budget_wire = protocol.budget_to_wire(effective)
-        server_trace = None
-        if observability_tracing.recording_collector() is not None:
-            stamped = observability_tracing.TraceContext.from_wire(
-                request.get("trace")
-            )
-            if stamped is not None and stamped.sampled:
-                server_trace = stamped.child()
-        session.watch(token)
-        session.statements += 1
-        try:
-            with observability_tracing.activate(server_trace), \
-                    observability_tracing.span(
-                        "router.statement",
-                        context=server_trace,
-                        own=True,
-                        session=session.name,
-                    ):
-                if request.get("type") == "EXECUTE":
-                    return self._route_execute(
-                        session, request, budget_wire, token
-                    )
-                sql = request.get("sql")
-                if not isinstance(sql, str):
-                    raise ProtocolError("QUERY requires a string 'sql' field")
-                return self._route_sql(session, sql, budget_wire, token)
-        finally:
-            session.active_token = None
+    _STATEMENT_SPAN = "router.statement"
+
+    def _execute_request(self, session: Session, request, budget, token,
+                         span):
+        budget_wire = protocol.budget_to_wire(budget)
+        if request.get("type") == "EXECUTE":
+            return self._route_execute(session, request, budget_wire, token)
+        sql = request.get("sql")
+        if not isinstance(sql, str):
+            raise ProtocolError("QUERY requires a string 'sql' field")
+        return self._route_sql(session, sql, budget_wire, token)
 
     def _route_sql(self, session: Session, sql: str, budget_wire, token):
         key = (self.db.catalog.version, sql)
@@ -396,7 +363,6 @@ class Router(Server):
                         session, sql, statement, budget_wire
                     ),
                     token=token,
-                    session=session.name,
                 )
             plan = self._plan_read(sql, statement)
             self._plan_cache.put(key, plan)
@@ -410,7 +376,9 @@ class Router(Server):
     def _plan_read(self, sql: str, statement) -> _ReadPlan:
         if not isinstance(statement, ast.Select):
             return _ReadPlan("gather")  # EXPLAIN, UNION, ...
-        if self._has_subquery(statement) or self._has_parameter(statement):
+        # a subquery evaluated on one shard would only see that shard's
+        # slice of whatever tables it references
+        if ast.has_subquery(statement) or ast.statement_parameters(statement):
             return _ReadPlan("gather")
         keys = bound_partition_keys(statement, self._partition_column_of)
         if keys is not None:
@@ -436,22 +404,6 @@ class Router(Server):
         if not self.shard_map.is_partitioned(item.name):
             return None
         return item.name
-
-    @staticmethod
-    def _has_subquery(statement: ast.Select) -> bool:
-        for expression in ast.statement_expressions(statement):
-            for node in ast.walk_expression(expression):
-                if isinstance(node, _SUBQUERY_NODES):
-                    return True
-        return False
-
-    @staticmethod
-    def _has_parameter(statement: ast.Select) -> bool:
-        for expression in ast.statement_expressions(statement):
-            for node in ast.walk_expression(expression):
-                if isinstance(node, ast.Parameter):
-                    return True
-        return False
 
     def _plan_scatter(self, sql, statement: ast.Select) -> Optional[_ReadPlan]:
         if statement.having is not None:
@@ -634,9 +586,7 @@ class Router(Server):
 
     def _forward(self, session, shard: int, sql: str, budget_wire):
         backend = self._backend(session, shard)
-        with observability_tracing.span(
-            "router.forward", own=True, shard=shard,
-        ):
+        with observability_tracing.span("router.forward", shard=shard):
             try:
                 return backend.execute(sql, budget=budget_wire)
             except ClientConnectionError as error:
@@ -652,13 +602,15 @@ class Router(Server):
         count = len(self.shard_addresses)
         results: List[Optional[ResultSet]] = [None] * count
         errors: List[Optional[BaseException]] = [None] * count
-        parent = observability_tracing.current_trace()
         with observability_tracing.span(
-            "router.fanout", own=True, shards=count, mode="scatter",
+            "router.fanout", shards=count, mode="scatter",
         ):
+            # each shard's hop joins the fan-out span, on this node
+            snapshot = ambient.capture()
+
             def run(shard: int) -> None:
                 try:
-                    with observability_tracing.activate(parent):
+                    with ambient.adopt(snapshot):
                         results[shard] = self._backend(
                             session, shard
                         ).execute(shard_sql, budget=budget_wire)
@@ -734,9 +686,7 @@ class Router(Server):
         if shard is not None:
             self._count_route("fast_path", fanout=[shard])
             backend_prepared = prepared.backend.get(shard)
-            with observability_tracing.span(
-                "router.forward", own=True, shard=shard,
-            ):
+            with observability_tracing.span("router.forward", shard=shard):
                 try:
                     if backend_prepared is None:
                         backend_prepared = self._backend(
@@ -1009,8 +959,7 @@ class Router(Server):
         ordered = sorted(shipments)
         span_shards = [shard for shard, _stmts in ordered]
         with observability_tracing.span(
-            "router.fanout", own=True,
-            shards=len(span_shards), mode="write",
+            "router.fanout", shards=len(span_shards), mode="write",
         ):
             for shard, statements in ordered:
                 backend = self._backend(session, shard)
@@ -1120,11 +1069,6 @@ def _merge_aggregate_rows(merge: _MergeSpec, results) -> List[Tuple]:
             else:
                 row.append(state[spec[1]])
         out.append(tuple(row))
-    if not out and group_count == 0 and results:
-        # SQL scalar-aggregate semantics: one row even over no input —
-        # every shard returned one, so this only guards the edge where
-        # results were empty result sets
-        pass
     return out
 
 

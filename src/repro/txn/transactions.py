@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from ..budget import current_token
+from ..ambient import current_token
 from ..errors import TransactionError
 from ..storage.table import Table, TableListener, TuplePointer
 
@@ -71,18 +71,28 @@ class TransactionManager:
         self._current = None
 
     def rollback(self) -> None:
+        transaction = self._current
+        try:
+            self.rollback_to(0)
+        finally:
+            if transaction is not None:
+                transaction.state = Transaction.ABORTED
+                self._current = None
+
+    def rollback_to(self, mark: int) -> None:
+        """Undo the active transaction's writes recorded after ``mark``
+        (an earlier :attr:`Transaction.undo_depth`), newest first; the
+        transaction stays open. A statement that fails inside an
+        explicit transaction is undone this way, on its own."""
         if self._current is None:
             raise TransactionError("no active transaction")
-        transaction = self._current
+        actions = self._current._undo_actions
         self._in_rollback = True
         try:
-            while transaction._undo_actions:
-                action = transaction._undo_actions.pop()
-                action()
+            while len(actions) > mark:
+                actions.pop()()
         finally:
             self._in_rollback = False
-            transaction.state = Transaction.ABORTED
-            self._current = None
 
     def record_undo(self, action: Callable[[], None]) -> None:
         """Register an inverse operation with the active transaction.

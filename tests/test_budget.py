@@ -11,7 +11,9 @@ from repro import (
     QueryTimeoutError,
     ResourceExhaustedError,
 )
-from repro.budget import CancellationToken, activate, current_token
+from repro import ambient
+from repro.ambient import activate, current_token
+from repro.budget import CancellationToken
 
 
 class FakeClock:
@@ -145,21 +147,21 @@ class TestAmbientToken:
     def test_activate_and_restore(self):
         assert current_token() is None
         token = CancellationToken()
-        with activate(token):
+        with activate(token=token):
             assert current_token() is token
         assert current_token() is None
 
     def test_nested_activation(self):
         outer, inner = CancellationToken(), CancellationToken()
-        with activate(outer):
-            with activate(inner):
+        with activate(token=outer):
+            with activate(token=inner):
                 assert current_token() is inner
             assert current_token() is outer
 
     def test_identity_removal_tolerates_interleaving(self):
         """Two suspended stream generators exit out of stack order."""
         a, b = CancellationToken(), CancellationToken()
-        ctx_a, ctx_b = activate(a), activate(b)
+        ctx_a, ctx_b = activate(token=a), activate(token=b)
         ctx_a.__enter__()
         ctx_b.__enter__()
         ctx_a.__exit__(None, None, None)  # a leaves first, b stays
@@ -264,8 +266,6 @@ class TestStreamTokenHygiene:
     govern (and falsely abort) unrelated later statements."""
 
     def test_early_close_leaves_no_ambient_token(self, db):
-        from repro.budget import _stack
-
         stream = db.stream("SELECT a FROM t", budget=QueryBudget(max_rows=100))
         next(stream)
         stream.close()  # abandon mid-iteration
@@ -275,8 +275,6 @@ class TestStreamTokenHygiene:
         assert len(db.execute("SELECT a FROM t").rows) == 8
 
     def test_abandoned_generator_gc_leaves_no_ambient_token(self, db):
-        from repro.budget import _stack
-
         stream = db.stream("SELECT a FROM t", budget=QueryBudget(max_rows=2))
         next(stream)
         del stream  # GC closes the generator
@@ -284,8 +282,6 @@ class TestStreamTokenHygiene:
         assert current_token() is None
 
     def test_prepared_stream_early_close_is_clean(self, db):
-        from repro.budget import _stack
-
         prepared = db.prepare("SELECT a FROM t WHERE a > ?")
         stream = prepared.stream(0, budget=QueryBudget(max_rows=100))
         next(stream)
@@ -294,8 +290,6 @@ class TestStreamTokenHygiene:
         assert len(prepared.execute(0).rows) == 8
 
     def test_interleaved_streams_unwind_cleanly(self, db):
-        from repro.budget import _stack
-
         first = db.stream("SELECT a FROM t", budget=QueryBudget(max_rows=100))
         second = db.stream("SELECT a FROM t", budget=QueryBudget(max_rows=100))
         next(first)
@@ -305,8 +299,21 @@ class TestStreamTokenHygiene:
         second.close()
         assert _stack() == []
 
-    def test_deactivate_none_is_noop(self):
-        from repro.budget import _stack, deactivate
-
-        deactivate(None)
+    def test_raising_stream_leaves_no_ambient_token(self, db):
+        stream = db.stream("SELECT a FROM t", budget=QueryBudget(max_rows=1))
+        next(stream)
+        with pytest.raises(ResourceExhaustedError):
+            next(stream)  # the pull that raises
         assert _stack() == []
+
+    def test_activate_none_is_noop(self):
+        with activate(token=None, tracer=None, trace=None):
+            assert _stack() == []
+            assert ambient.current_tracer() is None
+            assert ambient.current_trace() is None
+        assert _stack() == []
+
+
+def _stack():
+    """This thread's token stack."""
+    return ambient._LOCAL.tokens

@@ -18,7 +18,7 @@ from repro.observability import (
     metrics_enabled,
     set_enabled,
 )
-from repro.observability import tracer as tracer_module
+from repro.ambient import activate, current_tracer
 from repro.replication import (
     FaultInjector,
     Primary,
@@ -221,7 +221,7 @@ class TestTracerDisabledPath:
         db.execute("CREATE TABLE t (a INTEGER)")
         table = db.table("t")
         operator = SeqScanOp(table, 0, 1)
-        assert tracer_module.current_tracer() is None
+        assert current_tracer() is None
         iterator = iter(operator)
         # the untraced path must hand back the bare _rows generator:
         # no wrapper frame, no span bookkeeping
@@ -236,7 +236,7 @@ class TestTracerDisabledPath:
     def test_wrap_used_when_tracer_active(self):
         db = make_graph_db()
         tracer = QueryTracer()
-        with tracer_module.activate(tracer):
+        with activate(tracer=tracer):
             db.execute("SELECT id FROM V WHERE id > 2")
         labels = [span.label for span in tracer.spans]
         # V's primary key answers ``id > 2`` with a range scan

@@ -303,9 +303,8 @@ class TestShortestPathsAgainstNetworkx:
 #: Statement templates: ``{x}`` / ``{y}`` are vertex ids, ``{e}`` / ``{f}``
 #: edge ids. Statements the engine refuses (a duplicate key, a vertex
 #: still referenced, an edge to a missing vertex) are part of the stream:
-#: they roll back through the same listeners — inside an explicit
-#: transaction by aborting it, because a refused statement there is not
-#: undone on its own.
+#: they roll back through the same listeners, inside an explicit
+#: transaction as well as outside one.
 DML = [
     "INSERT INTO V VALUES ({x})",
     "DELETE FROM V WHERE id = {x}",
@@ -347,8 +346,7 @@ def _run_dml(db, template, x, y, e, f, w):
         try:
             db.execute(template.format(x=x, y=y, e=e, f=f, w=w))
         except DatabaseError:
-            if db.transactions.in_transaction:
-                db.rollback()
+            pass
 
 
 def _scan_results(view, start):

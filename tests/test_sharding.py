@@ -372,6 +372,38 @@ class TestRouting:
         scan = client.prepare("SELECT COUNT(*) FROM KV WHERE v <> ?")
         assert scan.execute("a").rows == [(2,)]
 
+    def test_scalar_subqueries_see_every_shard(self):
+        """A scalar subquery reads the whole table, so the statement is
+        gathered on the coordinator: scattered, each shard would answer
+        against its own partition's MAX / AVG."""
+        setup = [
+            "CREATE TABLE KV (k INTEGER PRIMARY KEY, v INTEGER) "
+            "PARTITION BY k",
+            "INSERT INTO KV VALUES "
+            + ", ".join(f"({k}, {10 * k})" for k in range(1, 9)),
+        ]
+        queries = [
+            "SELECT k FROM KV WHERE v = (SELECT MAX(v) FROM KV)",
+            "SELECT k FROM KV WHERE v > (SELECT AVG(v) FROM KV)",
+        ]
+        single = Database()
+        for sql in setup:
+            single.execute(sql)
+        router, shards = start_sharded(2)
+        try:
+            with Client(*router.address) as client:
+                for sql in setup:
+                    client.execute(sql)
+                for sql in queries:
+                    assert sorted(client.execute(sql).rows) == sorted(
+                        single.execute(sql).rows
+                    ), sql
+        finally:
+            stop_sharded(router, shards)
+        assert sorted(single.execute(queries[1]).rows) == [
+            (5,), (6,), (7,), (8,)
+        ]
+
     def test_statement_budget_is_enforced(self, sharded3):
         router, shards, client = sharded3
         client.execute(

@@ -1,27 +1,36 @@
 """Thread safety of the ambient state and observability counters.
 
-The network server runs one session per thread, so the budget/tracer
-ambient stacks must be per-thread and the metrics/slow-log updates must
-not lose increments under contention. These are regression tests for
-the conversion from module-global stacks to ``threading.local``.
+The network server runs one session per thread, so the ambient
+statement context (token, tracer and trace stacks, node and session
+labels) must be per-thread and the metrics/slow-log updates must not
+lose increments under contention. These are regression tests for the
+conversion from module-global stacks to ``threading.local``.
 """
 
 import threading
 
 import pytest
 
-from repro.budget import CancellationToken, QueryBudget, _stack, activate, current_token
+from repro import ambient
+from repro.ambient import (
+    Snapshot,
+    activate,
+    adopt,
+    current_session,
+    current_token,
+    current_tracer,
+)
+from repro.budget import CancellationToken, QueryBudget
 from repro.core.database import Database
 from repro.errors import ResourceExhaustedError
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.slowlog import SlowQueryLog
 from repro.observability.tracer import QueryTracer
-from repro.observability import tracer as tracer_module
-from repro.observability.context import (
-    current_session_label,
-    session_label,
-    set_session_label,
-)
+
+
+def _stack():
+    """This thread's token stack."""
+    return ambient._LOCAL.tokens
 
 
 def run_threads(*targets):
@@ -55,7 +64,7 @@ class TestAmbientTokenStack:
             seen["token"] = current_token()
             seen["stack"] = list(_stack())
 
-        with activate(token):
+        with activate(token=token):
             run_threads(other)
         assert seen["token"] is None
         assert seen["stack"] == []
@@ -104,7 +113,7 @@ class TestAmbientTokenStack:
         outcome = {}
 
         def victim():
-            with activate(token):
+            with activate(token=token):
                 started.set()
                 try:
                     while True:
@@ -127,11 +136,11 @@ class TestAmbientTracerStack:
         seen = {}
 
         def other():
-            seen["tracer"] = tracer_module.current_tracer()
+            seen["tracer"] = current_tracer()
 
-        with tracer_module.activate(tracer):
+        with activate(tracer=tracer):
             run_threads(other)
-            assert tracer_module.current_tracer() is tracer
+            assert current_tracer() is tracer
         assert seen["tracer"] is None
 
 
@@ -140,25 +149,65 @@ class TestSessionContext:
         seen = {}
 
         def other():
-            seen["label"] = current_session_label()
-            set_session_label("other")
-            seen["after_set"] = current_session_label()
+            seen["label"] = current_session()
+            with adopt(Snapshot(session="other")):
+                seen["after_set"] = current_session()
 
-        with session_label("mine"):
+        with adopt(Snapshot(session="mine")):
             run_threads(other)
-            assert current_session_label() == "mine"
-        assert current_session_label() == ""
+            assert current_session() == "mine"
+        assert current_session() == ""
         assert seen["label"] == ""
         assert seen["after_set"] == "other"
 
     def test_context_manager_restores_previous(self):
-        set_session_label("outer")
+        with adopt(Snapshot(node="n1", session="outer")):
+            with adopt(Snapshot(node="n2", session="inner")):
+                assert current_session() == "inner"
+                assert ambient.current_node() == "n2"
+            assert current_session() == "outer"
+            assert ambient.current_node() == "n1"
+        assert current_session() == ""
+        assert ambient.current_node() == ""
+
+
+class TestWriterHandOff:
+    def test_queued_write_runs_under_the_submitters_snapshot(self):
+        """The writer thread adopts the submitting session's snapshot
+        (session, node, trace) for the write, and keeps none of it."""
+        from repro.observability.tracing import TraceContext
+        from repro.server.scheduler import SingleWriterScheduler
+
+        def observe():
+            local = ambient._LOCAL
+            return (
+                threading.current_thread().name,
+                ambient.capture(),
+                list(local.tokens),
+                list(local.tracers),
+                list(local.traces),
+            )
+
+        scheduler = SingleWriterScheduler()
+        context = TraceContext.new()
+        token = CancellationToken()
         try:
-            with session_label("inner"):
-                assert current_session_label() == "inner"
-            assert current_session_label() == "outer"
+            with adopt(Snapshot(context, "n7", "s1")):
+                during = scheduler.execute_write(
+                    lambda: _with_token(token, observe), token=token
+                )
+            after = scheduler.execute_write(observe)
         finally:
-            set_session_label("")
+            scheduler.drain(timeout=5.0)
+        assert during[0] == "repro-writer"
+        assert during[1] == Snapshot(context, "n7", "s1")
+        assert during[2] == [token]
+        assert after == ("repro-writer", Snapshot(), [], [], [])
+
+
+def _with_token(token, fn):
+    with activate(token=token):
+        return fn()
 
 
 class TestMetricsAtomicity:

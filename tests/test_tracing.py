@@ -16,6 +16,7 @@ import urllib.request
 
 import pytest
 
+from repro import ambient
 from repro.client import Client
 from repro.core.command_log import enable_command_log
 from repro.core.database import Database
@@ -135,23 +136,23 @@ class TestSpanCollector:
 class TestAmbientContext:
     def test_activate_installs_and_removes(self):
         context = TraceContext.new()
-        assert observability_tracing.current_trace() is None
-        with observability_tracing.activate(context):
-            assert observability_tracing.current_trace() is context
-        assert observability_tracing.current_trace() is None
+        assert ambient.current_trace() is None
+        with ambient.activate(trace=context):
+            assert ambient.current_trace() is context
+        assert ambient.current_trace() is None
 
     def test_activate_none_is_a_noop(self):
-        with observability_tracing.activate(None):
-            assert observability_tracing.current_trace() is None
+        with ambient.activate(trace=None):
+            assert ambient.current_trace() is None
 
     def test_ambient_is_per_thread(self):
         context = TraceContext.new()
         seen = []
 
         def probe():
-            seen.append(observability_tracing.current_trace())
+            seen.append(ambient.current_trace())
 
-        with observability_tracing.activate(context):
+        with ambient.activate(trace=context):
             thread = threading.Thread(target=probe)
             thread.start()
             thread.join()
@@ -163,57 +164,86 @@ class TestAmbientContext:
 
     def test_record_span_skips_unsampled(self):
         context = TraceContext.new(sampled=False)
-        assert (
-            observability_tracing.record_span("x", 1.0, context=context)
-            is None
-        )
+        with ambient.activate(trace=context):
+            assert observability_tracing.record_span("x", 1.0) is None
+            with observability_tracing.span("y") as unsampled:
+                assert unsampled.context is None
+        assert len(observability_tracing.get_collector()) == 0
 
     def test_leaf_span_parents_to_the_context(self):
         context = TraceContext.new()
-        span = observability_tracing.record_span(
-            "leaf", 1.5, context=context, rows=3, skipme=None
-        )
+        with ambient.activate(trace=context):
+            span = observability_tracing.record_span(
+                "leaf", 1.5, rows=3, skipme=None
+            )
         assert span.parent_id == context.span_id
         assert span.span_id != context.span_id
         assert span.attrs == {"rows": 3}  # None attrs are dropped
 
     def test_own_span_is_the_context(self):
+        """A span is the context it opens: ambient for its block, so
+        what is recorded inside parents to it."""
         root = TraceContext.new()
-        child = root.child()
-        span = observability_tracing.record_span(
-            "stage", 1.0, context=child, own=True
+        with ambient.activate(trace=root):
+            with observability_tracing.span("stage") as opened:
+                assert ambient.current_trace() is opened.context
+                leaf = observability_tracing.record_span("leaf", 1.0)
+            assert ambient.current_trace() is root
+        stage = next(
+            s for s in observability_tracing.get_collector().spans()
+            if s.name == "stage"
         )
-        assert span.span_id == child.span_id
-        assert span.parent_id == root.span_id
+        assert stage.span_id == opened.context.span_id
+        assert stage.parent_id == root.span_id
+        assert leaf.parent_id == stage.span_id
+
+    def test_span_without_a_trace_mints_nothing(self):
+        with observability_tracing.span("server.statement") as opened:
+            assert opened.context is None
+            assert ambient.current_trace() is None
+        assert len(observability_tracing.get_collector()) == 0
+
+    def test_root_span_starts_a_trace(self):
+        with observability_tracing.span.root("client.execute", True) as root:
+            assert ambient.current_trace() is root.context
+            with observability_tracing.span("inner") as inner:
+                pass
+        assert ambient.current_trace() is None
+        assert root.context.parent_id is None
+        assert inner.context.parent_id == root.context.span_id
+        with observability_tracing.span.root("unsampled", False) as skipped:
+            assert skipped.context is None
+        names = [s.name for s in observability_tracing.get_collector().spans()]
+        assert names == ["inner", "client.execute"]
 
     def test_span_context_manager_records_errors(self):
         context = TraceContext.new()
         with pytest.raises(ValueError):
-            with observability_tracing.span("boom", context=context):
-                raise ValueError("nope")
+            with ambient.activate(trace=context):
+                with observability_tracing.span("boom"):
+                    raise ValueError("nope")
         recorded = observability_tracing.get_collector().spans()
         assert recorded[-1].name == "boom"
         assert recorded[-1].attrs["error"] == "ValueError"
+        assert ambient.current_trace() is None
 
     def test_node_label_scoping(self):
-        assert observability_tracing.current_node_label() == ""
-        with observability_tracing.node_label("n7"):
-            assert observability_tracing.current_node_label() == "n7"
-            span = observability_tracing.record_span(
-                "x", 1.0, context=TraceContext.new()
-            )
+        assert ambient.current_node() == ""
+        with ambient.adopt(ambient.Snapshot(TraceContext.new(), "n7")):
+            assert ambient.current_node() == "n7"
+            span = observability_tracing.record_span("x", 1.0)
             assert span.node == "n7"
-        assert observability_tracing.current_node_label() == ""
+        assert ambient.current_node() == ""
+        assert ambient.current_trace() is None
 
     def test_disabled_tracing_records_nothing(self):
         observability_tracing.set_tracing_enabled(False)
         assert observability_tracing.recording_collector() is None
-        assert (
-            observability_tracing.record_span(
-                "x", 1.0, context=TraceContext.new()
-            )
-            is None
-        )
+        with ambient.activate(trace=TraceContext.new()):
+            assert observability_tracing.record_span("x", 1.0) is None
+            with observability_tracing.span("y") as disabled:
+                assert disabled.context is None
+        assert len(observability_tracing.get_collector()) == 0
 
 
 # ----------------------------------------------------------------------
@@ -398,10 +428,10 @@ class TestHttpEndpoint:
 
     def test_traces_with_filters(self, http_endpoint):
         context = TraceContext.new()
-        observability_tracing.record_span("a", 1.0, context=context)
-        observability_tracing.record_span(
-            "b", 1.0, context=TraceContext.new()
-        )
+        with ambient.activate(trace=context):
+            observability_tracing.record_span("a", 1.0)
+        with ambient.activate(trace=TraceContext.new()):
+            observability_tracing.record_span("b", 1.0)
         status, body = _get(
             http_endpoint.url(f"/traces?trace_id={context.trace_id}")
         )
@@ -506,3 +536,57 @@ class TestRouterTraceContinuity:
         assert "router.statement" in read_names
         assert read_names.count("router.forward") == 1
         assert "server.statement" in read_names
+
+    def test_routed_traces_are_trees(self, sharded):
+        """Scatter read, fast-path read and multi-shard write: each
+        trace is one tree — unique span ids, every parent recorded,
+        backend hops under the router span that made them, and every
+        span the router's threads record attributed to the router."""
+        router, shards = sharded
+        collector = observability_tracing.get_collector()
+        statements = [
+            "INSERT INTO KV VALUES (1, 10), (2, 20), (3, 30), (4, 40)",
+            "SELECT COUNT(*) FROM KV",
+            "SELECT v FROM KV WHERE k = 3",
+        ]
+        with Client("127.0.0.1", router.port) as client:
+            client.execute(
+                "CREATE TABLE KV (k INTEGER PRIMARY KEY, v INTEGER) "
+                "PARTITION BY k"
+            )
+            for sql in statements:
+                collector.clear()
+                client.execute(sql)
+                _assert_routed_tree(sql, collector.spans())
+
+
+def _assert_routed_tree(sql, spans):
+    by_id = {s.span_id: s for s in spans}
+    assert len(by_id) == len(spans), (sql, [s.as_dict() for s in spans])
+    assert len({s.trace_id for s in spans}) == 1, sql
+    roots = [s for s in spans if s.parent_id is None]
+    assert [s.name for s in roots] == ["client.execute"], sql
+    for s in spans:
+        assert s.parent_id is None or s.parent_id in by_id, (sql, s.as_dict())
+    hops = [
+        s for s in spans if s.name == "client.execute" and s is not roots[0]
+    ]
+    assert hops, sql
+    for hop in hops:
+        assert by_id[hop.parent_id].name in ("router.fanout", "router.forward")
+
+    def on_router(span):
+        # the nearest statement span above decides which node recorded it
+        while span.name not in ("router.statement", "server.statement"):
+            if span.parent_id is None:
+                return False
+            span = by_id[span.parent_id]
+        return span.name == "router.statement"
+
+    router_spans = [s for s in spans if on_router(s)]
+    assert {s.name for s in router_spans} >= {
+        "router.statement", "client.execute"
+    }, sql
+    assert {s.node for s in router_spans} == {"router"}, (
+        sql, [s.as_dict() for s in router_spans]
+    )

@@ -89,6 +89,55 @@ class TestImplicitTransactions:
         assert not db.graph_view("g").topology.has_edge(99)
 
 
+class TestRefusedStatementInTransaction:
+    """A statement refused inside ``BEGIN`` is undone on its own; the
+    transaction keeps the statements that succeeded."""
+
+    def test_refused_delete_is_undone_and_commit_keeps_the_rest(self, db):
+        db.begin()
+        db.execute("INSERT INTO V VALUES (4, 'd')")
+        with pytest.raises(IntegrityError):
+            db.execute("DELETE FROM V WHERE id = 1")  # edge 10 uses it
+        assert db.execute("SELECT id FROM V ORDER BY id").column(0) == [
+            1, 2, 3, 4,
+        ]
+        assert db.graph_view("g").topology.has_vertex(1)
+        db.commit()
+        assert db.execute("SELECT COUNT(*) FROM V").scalar() == 4
+        # no dangling edge source: the vertex is there, and a later
+        # transaction can still roll its own work back
+        db.begin()
+        db.execute("DELETE FROM E WHERE id = 10")
+        db.rollback()
+        assert db.graph_view("g").topology.has_edge(10)
+
+    def test_replay_of_the_log_reaches_the_live_state(self, tmp_path):
+        from repro.core.command_log import enable_command_log, replay_log
+        from repro.replication.digest import combined_digest
+
+        live = Database()
+        log = enable_command_log(live, str(tmp_path / "commands.log"))
+        live.execute("CREATE TABLE V (id INTEGER PRIMARY KEY)")
+        live.execute(
+            "CREATE TABLE E (id INTEGER PRIMARY KEY, s INTEGER, d INTEGER)"
+        )
+        live.execute(
+            "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM V "
+            "EDGES(ID = id, FROM = s, TO = d) FROM E"
+        )
+        live.execute("INSERT INTO V VALUES (0), (1)")
+        live.execute("INSERT INTO E VALUES (5, 0, 1)")
+        live.begin()
+        with pytest.raises(IntegrityError):
+            live.execute("DELETE FROM V WHERE id = 0")
+        live.execute("INSERT INTO V VALUES (2)")
+        live.commit()
+        log.detach()
+        assert combined_digest(replay_log(str(log.path))) == combined_digest(
+            live
+        )
+
+
 class TestGraphViewTransactionalMaintenance:
     def test_rollback_restores_topology_after_insert(self, db):
         view = db.graph_view("g")
