@@ -30,7 +30,9 @@ was added, so no loop looks at edge direction, and ``on_path`` /
 visited / parent / settled state is keyed by slot. Element records are
 read only to test a pushed filter and to build the paths a scan keeps
 (the enumerations hold the partial path's records; visited-once and
-SPScan hold slots and materialise an emitted path from them). Filters
+SPScan hold parent links of slots and materialise an emitted path from
+them). DFScan's last hop into a bound end probes the end's incoming
+pairs instead of walking out-lists (see :func:`_edges_into`). Filters
 over ``Edges[0..*]`` hold at every position, so a scan evaluates them at
 most once per edge (see :func:`_edge_filters`).
 
@@ -255,11 +257,36 @@ def _start_vertices(
 
 def _target_slot(topology: GraphTopology, spec: TraversalSpec) -> Optional[int]:
     """The slot of the bound end vertex: ``None`` when there is none, -1
-    when it names no vertex (nothing matches, the walk still runs)."""
+    when it names no vertex — no path can match, so every scan returns
+    before it walks a single edge."""
     if spec.target_vertex_id is None:
         return None
     vertex = topology.vertices.get(spec.target_vertex_id)
     return -1 if vertex is None else vertex.slot
+
+
+def _edges_into(topology: GraphTopology, end: int) -> Dict[int, List[int]]:
+    """Per source slot, the ``edge_slot, end`` pairs of its out-list that
+    end at vertex slot ``end``, in out-list order.
+
+    DFScan's last hop into a bound end iterates this instead of the whole
+    out-list. An undirected view reads it off the end's own out-list, a
+    directed one off its in-list; either way an edge is entered in both
+    adjacency lists at once and removed from both in place, so the order
+    per source is the out-list's.
+    """
+    into: Dict[int, List[int]] = {}
+    vertex = topology.vertex_at[end]
+    if vertex.in_slots is None:
+        pairs = iter(vertex.out_pairs)
+        for edge_slot in pairs:
+            into.setdefault(next(pairs), []).extend((edge_slot, end))
+    else:
+        vertices, edge_at = topology.vertices, topology.edge_at
+        for edge_slot in vertex.in_slots:
+            source = vertices[edge_at[edge_slot].from_id].slot
+            into.setdefault(source, []).extend((edge_slot, end))
+    return into
 
 
 def _allowed_at(
@@ -337,6 +364,28 @@ def _path(
     )
 
 
+def _unlink(link: Tuple[int, Any, Any]) -> Tuple[List[int], List[int]]:
+    """Vertex and edge slots from a start to a link's slot.
+
+    Visited-once and SPScan keep a path as a *parent link* ``(slot, edge
+    slot, parent link)`` — a start's is ``(slot, None, None)`` — which
+    shares its prefix with the link it grew from, so extending a path
+    copies nothing; this walks the chain back when a path is emitted.
+    """
+    vertex_slots: List[int] = []
+    edge_slots: List[int] = []
+    while True:
+        slot, edge_slot, parent = link
+        vertex_slots.append(slot)
+        if parent is None:
+            break
+        edge_slots.append(edge_slot)
+        link = parent
+    vertex_slots.reverse()
+    edge_slots.reverse()
+    return vertex_slots, edge_slots
+
+
 def dfs_paths(
     view: GraphView,
     start_ids: Optional[Iterable[Any]],
@@ -398,6 +447,17 @@ def _dfs(
     max_length = spec.max_length
     target_is_start = spec.target_is_start
     static_target = _target_slot(topology, spec)
+    if static_target == -1:
+        return
+    # With a bound end and a known length bound, the edges at position
+    # ``last`` can only emit by ending at that end, so that level probes
+    # the end's incoming pairs (``into``) instead of walking out-lists.
+    # ``into`` is built when a path first reaches that depth: once per
+    # scan for a static end, once per start for a cycle.
+    last = -1
+    if max_length is not None and (target_is_start or static_target is not None):
+        last = max_length - 1
+    into = None
     examined = 0
     visited = 0
     peak = 0
@@ -412,7 +472,10 @@ def _dfs(
             if vertex_filters and not _allowed_at(vertex_filters, 0, start):
                 continue
             start_slot = start.slot
-            target = start_slot if target_is_start else static_target
+            if target_is_start:
+                target, into = start_slot, None
+            else:
+                target = static_target
             path_vertices: List[Vertex] = [start]
             path_edges: List[Edge] = []
             on_path: Set[int] = {start_slot}
@@ -494,7 +557,12 @@ def _dfs(
                         if spec.admit(candidate, new_sums, stats, token):
                             yield candidate
                     if max_length is None or depth < max_length:
-                        iterators.append(iter(out_pairs[next_slot]))
+                        if depth == last:
+                            if into is None:
+                                into = _edges_into(topology, target)
+                            iterators.append(iter(into.get(next_slot, ())))
+                        else:
+                            iterators.append(iter(out_pairs[next_slot]))
                         if depth >= peak:
                             peak = depth + 1
                         break
@@ -537,6 +605,8 @@ def _bfs(
     max_length = spec.max_length
     target_is_start = spec.target_is_start
     static_target = _target_slot(topology, spec)
+    if static_target == -1:
+        return
     # entries: (vertices, edges, running sums, all increments non-negative)
     queue: deque = deque()
     examined = 0
@@ -628,23 +698,6 @@ def _bfs(
 # ---------------------------------------------------------------------------
 
 
-def _chain(
-    parents: Dict[int, Optional[Tuple[int, int]]], tail: int
-) -> Tuple[List[int], List[int]]:
-    """Vertex and edge slots from a start to ``tail``, by parent links."""
-    vertex_slots = [tail]
-    edge_slots: List[int] = []
-    link = parents[tail]
-    while link is not None:
-        parent, edge_slot = link
-        vertex_slots.append(parent)
-        edge_slots.append(edge_slot)
-        link = parents[parent]
-    vertex_slots.reverse()
-    edge_slots.reverse()
-    return vertex_slots, edge_slots
-
-
 def _visited_once(
     view: GraphView,
     start_ids: Optional[Iterable[Any]],
@@ -654,13 +707,17 @@ def _visited_once(
     """BFS with a global visited set: the hop-minimal path per vertex.
 
     This is the discipline used by the reachability experiments
-    (Figure 7): linear in the explored subgraph, stopping as soon as the
-    target is reached when one is known. Parent links (``slot ->
-    (parent slot, edge slot)``, ``None`` for a start) double as the
-    visited set and keep the hot loop allocation-free; paths materialize
-    only at emission. Edges toward a visited vertex are skipped before
-    any filter runs, and an edge leads to an undiscovered vertex at most
-    once, so a filter runs at most once per edge without a memo.
+    (Figure 7): linear in the explored subgraph. Parent links (``slot ->
+    link``, see :func:`_unlink`) double as the visited set and keep the
+    hot loop allocation-free; paths materialize only at emission. Edges
+    toward a visited vertex are skipped before any filter runs, and an
+    edge leads to an undiscovered vertex at most once, so a filter runs
+    at most once per edge without a memo.
+
+    A bound end vertex is tested when it is *discovered*, not when its
+    level is dequeued: its parent link is set then and never changes, so
+    the path is the one a dequeue-time test would emit, and the scan
+    returns at once — nothing later can end at a visited vertex.
 
     A bound end vertex that is itself a start is never discovered again:
     only a path closing back onto it can end there, and the visited-once
@@ -678,7 +735,9 @@ def _visited_once(
     min_length = spec.min_length
     max_length = spec.max_length
     target = _target_slot(topology, spec)
-    parents: Dict[int, Optional[Tuple[int, int]]] = {}
+    if target == -1:
+        return
+    parents: Dict[int, Tuple[int, Any, Any]] = {}
     frontier: List[int] = []
     examined = 0
     visited = 0
@@ -691,7 +750,7 @@ def _visited_once(
                 continue
             if vertex_filters and not _allowed_at(vertex_filters, 0, start):
                 continue
-            parents[slot] = None
+            parents[slot] = (slot, None, None)
             frontier.append(slot)
         if target in parents:
             starts = [vertex_at[slot].id for slot in parents]
@@ -707,7 +766,7 @@ def _visited_once(
         while frontier:
             discovered: List[int] = []
             waiting = len(frontier)
-            emits = depth >= min_length
+            emits = target is None and depth >= min_length
             grows = max_length is None or depth < max_length
             next_depth = depth + 1
             for slot in frontier:
@@ -718,16 +777,15 @@ def _visited_once(
                 visited += 1
                 if token is not None:
                     token.tick_vertex()
-                if emits and (target is None or slot == target):
-                    candidate = _path(vertex_at, edge_at, *_chain(parents, slot))
+                if emits:
+                    candidate = _path(vertex_at, edge_at, *_unlink(parents[slot]))
                     if spec.admit(candidate, None, stats, token):
                         stats.add(visited, examined, peak)
                         visited = examined = 0
                         yield candidate
-                        if target is not None:
-                            return
                 if not grows:
                     continue
+                link = parents[slot]
                 pairs = iter(out_pairs[slot])
                 for edge_slot in pairs:
                     next_slot = next(pairs)
@@ -746,7 +804,16 @@ def _visited_once(
                         vertex_filters, next_depth, vertex_at[next_slot]
                     ):
                         continue
-                    parents[next_slot] = (slot, edge_slot)
+                    parents[next_slot] = (next_slot, edge_slot, link)
+                    if next_slot == target:
+                        if next_depth >= min_length:
+                            candidate = _path(
+                                vertex_at, edge_at, *_unlink(parents[next_slot]))
+                            if spec.admit(candidate, None, stats, token):
+                                stats.add(visited, examined, peak)
+                                visited = examined = 0
+                                yield candidate
+                        return
                     discovered.append(next_slot)
             frontier = discovered
             depth = next_depth
@@ -802,10 +869,12 @@ def shortest_paths(
     max_length = spec.max_length
     target_is_start = spec.target_is_start
     static_target = _target_slot(topology, spec)
+    if static_target == -1:
+        return
     heappush, heappop = heapq.heappush, heapq.heappop
     counter = itertools.count()
-    # entries: (cost, tiebreak, vertex slots, edge slots, running sums,
-    # non-negative)
+    # entries: (cost, tiebreak, tail slot, parent link, position, start
+    # slot, first hop slot, running sums, non-negative)
     heap: list = []
     settled: Dict[Any, int] = {}
     examined = 0
@@ -815,14 +884,15 @@ def shortest_paths(
     try:
         for start in _start_vertices(view, start_ids):
             if _allowed_at(vertex_filters, 0, start):
+                slot = start.slot
                 heappush(
                     heap,
-                    (0.0, next(counter), (start.slot,), (),
-                     (0.0,) * len(sum_bounds), True),
+                    (0.0, next(counter), slot, (slot, None, None), 0, slot,
+                     None, (0.0,) * len(sum_bounds), True),
                 )
         # the slot whose filling ends the scan: the bound end vertex's,
         # unless other starts share that end with the cycle route
-        starts = {entry[2][0] for entry in heap}
+        starts = {entry[5] for entry in heap}
         if static_target is None or target_is_start:
             final_slot: Any = None
         elif static_target not in starts:
@@ -834,30 +904,21 @@ def shortest_paths(
         while heap:
             if len(heap) > peak:
                 peak = len(heap)
-            cost, _tiebreak, path_vertices, path_edges, sums, non_negative = (
-                heappop(heap)
-            )
+            (cost, _tiebreak, tail, link, position, start_slot, first_hop,
+             sums, non_negative) = heappop(heap)
             visited += 1
             if token is not None:
                 token.tick_vertex()
-            tail = path_vertices[-1]
-            start_slot = path_vertices[0]
-            position = len(path_edges)
             cyclic = target_is_start or start_slot == static_target
             if position or not cyclic:
-                slot = (
-                    _cycle_key(start_slot, path_vertices, tail)
-                    if cyclic else tail
-                )
+                slot = _cycle_key(start_slot, first_hop, tail) if cyclic else tail
                 times_settled = settled.get(slot, 0)
                 if times_settled >= max_paths_per_vertex:
                     continue
                 settled[slot] = times_settled + 1
             target = start_slot if target_is_start else static_target
             if position >= min_length and (target is None or tail == target):
-                candidate = _path(
-                    vertex_at, edge_at, path_vertices, path_edges, cost
-                )
+                candidate = _path(vertex_at, edge_at, *_unlink(link), cost)
                 if spec.admit(candidate, sums, stats, token):
                     stats.add(visited, examined, peak)
                     visited = examined = 0
@@ -871,7 +932,14 @@ def shortest_paths(
                 continue  # a closed cycle is terminal
             if max_length is not None and position >= max_length:
                 continue
-            on_path = set(path_vertices)
+            # With one path per vertex off the cycle route, every vertex
+            # on the path is settled, so the settled test below already
+            # keeps the path simple.
+            if cyclic or max_paths_per_vertex > 1:
+                path_vertices, path_edges = _unlink(link)
+                on_path: Optional[Set[int]] = set(path_vertices)
+            else:
+                on_path = None
             pairs = iter(out_pairs[tail])
             for edge_slot in pairs:
                 next_slot = next(pairs)
@@ -890,15 +958,16 @@ def shortest_paths(
                     positional, position, edge_at[edge_slot]
                 ):
                     continue
-                if next_slot in on_path and not (
+                if on_path is not None and next_slot in on_path and not (
                     cyclic
                     and next_slot == start_slot
                     and position >= 1
                     and edge_slot not in path_edges
                 ):
                     continue
+                next_first = first_hop if position else next_slot
                 next_key = (
-                    _cycle_key(start_slot, path_vertices, next_slot)
+                    _cycle_key(start_slot, next_first, next_slot)
                     if cyclic else next_slot
                 )
                 if settled.get(next_key, 0) >= max_paths_per_vertex:
@@ -927,8 +996,11 @@ def shortest_paths(
                     (
                         cost + weight,
                         next(counter),
-                        path_vertices + (next_slot,),
-                        path_edges + (edge_slot,),
+                        next_slot,
+                        (next_slot, edge_slot, link),
+                        position + 1,
+                        start_slot,
+                        next_first,
                         new_sums,
                         new_non_negative,
                     ),
@@ -937,8 +1009,9 @@ def shortest_paths(
         stats.add(visited, examined, peak)
 
 
-def _cycle_key(start: int, path_vertices: Tuple[int, ...], vertex: int) -> Any:
-    """The settled-slot key of ``vertex`` on SPScan's cycle route.
+def _cycle_key(start: int, first_hop: int, vertex: int) -> Any:
+    """The settled-slot key of ``vertex`` on SPScan's cycle route, for a
+    path from ``start`` whose first hop is ``first_hop``.
 
     The closing cycle counts per start. Every other vertex counts per
     (start, first hop, vertex): each neighbour of the start grows its
@@ -949,7 +1022,6 @@ def _cycle_key(start: int, path_vertices: Tuple[int, ...], vertex: int) -> Any:
     """
     if vertex == start:
         return (start, start)
-    first_hop = path_vertices[1] if len(path_vertices) > 1 else vertex
     return (start, first_hop, vertex)
 
 

@@ -10,7 +10,11 @@ Invariants on random graphs:
 * SPScan distances match networkx Dijkstra, and costs are non-decreasing;
 * SPScan honours a random spec too, and its cheapest cycle through a
   vertex costs what networkx says;
-* the global-visited BFS discipline finds hop-minimal witnesses.
+* the global-visited BFS discipline finds hop-minimal witnesses;
+* with a bound end, on multigraphs: DFScan's probed last hop emits what
+  the unbound scan emits there, visited-once exiting on discovery returns
+  what a dequeue-time BFS returns for no more edges, and an edge budget
+  still aborts a probed scan.
 """
 
 import operator
@@ -19,8 +23,10 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import QueryBudget, ResourceExhaustedError
+from repro.ambient import activate
 from repro.graph import TraversalSpec, bfs_paths, dfs_paths, shortest_paths
-from repro.graph.traversal import PositionalFilter, SumBound
+from repro.graph.traversal import PositionalFilter, SumBound, TraversalStats
 
 from .graph_fixtures import make_graph_view
 
@@ -294,6 +300,156 @@ class TestShortestPathsAgainstNetworkx:
         assert len(cycles) == 1
         assert cycles[0].start_vertex_id == cycles[0].end_vertex_id == 0
         assert cycles[0].cost == pytest.approx(min(closing))
+
+
+# ---------------------------------------------------------------------------
+# a bound end vertex: the scans stop where the answer is
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_multigraph(draw, max_vertices=6):
+    """A graph with parallel edges and self-loops, some of its edges
+    removed again from the built topology (removal keeps the order of
+    the remaining adjacency entries, which emission order follows)."""
+    n = draw(st.integers(min_value=2, max_value=max_vertices))
+    directed = draw(st.booleans())
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges = [
+        (i, a, b, float(draw(st.integers(min_value=1, max_value=9))), "x")
+        for i, (a, b) in enumerate(pairs)
+    ]
+    removed = draw(st.sets(st.sampled_from(range(len(edges))))) if edges else set()
+    view = make_graph_view(range(n), edges, directed=directed)[0]
+    for edge_id in sorted(removed):
+        view.topology.remove_edge(edge_id)
+    return n, view
+
+
+def path_key(path):
+    return tuple(path.vertex_ids()), tuple(path.edge_ids())
+
+
+def dequeue_time_visited_once(view, starts, described):
+    """The reference visited-once walk: level-order BFS that tests the
+    end vertex when it is *dequeued*. Returns the emitted path's key (or
+    ``None``) and the number of edges it examined."""
+    weight = view.edge_attribute_reader("w")
+    topology = view.topology
+
+    def allowed(filters, position, value):
+        return all(
+            COMPARE[op](value, threshold)
+            for (start, end), op, threshold in filters
+            if start <= position and (end is None or position <= end)
+        )
+
+    target = described["target"]
+    parents = {}
+    frontier = []
+    for start in starts:
+        if start in topology.vertices and start not in parents and allowed(
+                described["vertex_filters"], 0, start):
+            parents[start] = None
+            frontier.append(start)
+    examined = 0
+    depth = 0
+    while frontier:
+        discovered = []
+        for vertex in frontier:
+            if depth >= described["min_length"] and vertex == target:
+                ids, edges = [vertex], []
+                while parents[ids[-1]] is not None:
+                    parent, edge = parents[ids[-1]]
+                    ids.append(parent)
+                    edges.append(edge)
+                total = sum(weight(edge) for edge in edges)
+                if all(COMPARE[op](total, bound)
+                       for op, bound in described["sum_bounds"]):
+                    return (tuple(reversed(ids)),
+                            tuple(edge.id for edge in reversed(edges))), examined
+            if described["max_length"] is not None and depth >= described["max_length"]:
+                continue
+            for edge in topology.out_edges_of(vertex):
+                examined += 1
+                nxt = edge.to_id if view.directed else edge.other_endpoint(vertex)
+                if nxt in parents:
+                    continue
+                if not allowed(described["edge_filters"], depth, weight(edge)):
+                    continue
+                if not allowed(described["vertex_filters"], depth + 1, nxt):
+                    continue
+                parents[nxt] = (vertex, edge)
+                discovered.append(nxt)
+        frontier = discovered
+        depth += 1
+    return None, examined
+
+
+class TestBoundEndPruning:
+    @given(random_multigraph(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_probed_last_hop_emits_the_unbound_paths_ending_there(self, graph, draw):
+        """DFScan with a bound end (or a cycle) and a fixed length bound
+        probes the edges into the end on its last hop; it emits, in
+        order, exactly the paths of the unbound scan that end there."""
+        n, view = graph
+        described = draw.draw(spec_description(n, longest=4))
+        if described["target"] is None and not described["target_is_start"]:
+            described["target"] = draw.draw(st.integers(min_value=0, max_value=n - 1))
+        unbound = dict(described, target=None, target_is_start=False)
+        starts = described["starts"]
+
+        def ends_there(path):
+            ids = path.vertex_ids()
+            return (described["target"] in (None, ids[-1])
+                    and (not described["target_is_start"] or ids[0] == ids[-1]))
+
+        probed = [path_key(p) for p in dfs_paths(view, starts, build_spec(view, described))]
+        walked = [path_key(p) for p in dfs_paths(view, starts, build_spec(view, unbound))
+                  if ends_there(p)]
+        assert probed == walked
+
+    @given(random_multigraph(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_visited_once_exits_on_discovery(self, graph, draw):
+        """Visited-once with a bound end returns the path the dequeue-time
+        reference returns, and examines no more edges than it."""
+        n, view = graph
+        described = draw.draw(spec_description(n, longest=n))
+        described["max_length"] = draw.draw(st.none() | st.just(described["max_length"]))
+        target = draw.draw(st.integers(min_value=0, max_value=n - 1))
+        described.update(target=target, target_is_start=False)
+        # a bound end that is itself a start takes SPScan's cycle route
+        others = [v for v in range(n) if v != target]
+        starts = draw.draw(st.lists(st.sampled_from(others), min_size=1, max_size=3))
+        spec = build_spec(view, described)
+        spec.unique_vertices = True
+        stats = TraversalStats()
+        paths = [path_key(p) for p in bfs_paths(view, starts, spec, stats)]
+        expected, examined = dequeue_time_visited_once(view, starts, described)
+        assert paths == ([] if expected is None else [expected])
+        assert stats.edges_examined <= examined
+
+    @given(random_multigraph(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_edge_budget_aborts_a_probed_scan(self, graph, draw):
+        n, view = graph
+        described = draw.draw(spec_description(n, longest=4))
+        if described["target"] is None:
+            described["target_is_start"] = True
+        starts = described["starts"]
+        stats = TraversalStats()
+        paths = list(dfs_paths(view, starts, build_spec(view, described), stats))
+        examined = stats.edges_examined
+        if examined < 2:
+            return  # a budget allows at least one edge
+        with activate(token=QueryBudget(max_edges=examined).start()):
+            assert list(dfs_paths(view, starts, build_spec(view, described))) == paths
+        with activate(token=QueryBudget(max_edges=examined - 1).start()):
+                with pytest.raises(ResourceExhaustedError, match="max_edges"):
+                    list(dfs_paths(view, starts, build_spec(view, described)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Unit tests for the physical path-scan algorithms (DFScan, BFScan,
 SPScan) and the traversal-spec pushdown machinery."""
 
+import re
+
 import pytest
 
+from repro import Database
 from repro.errors import ExecutionError
 from repro.graph import (
     TraversalSpec,
@@ -123,6 +126,67 @@ class TestTargetFiltering:
         view = diamond_view()
         spec = TraversalSpec(max_length=3, target_vertex_id=1)
         assert list(dfs_paths(view, [4], spec)) == []
+
+
+def run_scan(view, scan, spec, stats):
+    if scan == "sp":
+        return list(shortest_paths(
+            view, [1], spec, view.edge_attribute_reader("w"), stats=stats))
+    return list((dfs_paths if scan == "dfs" else bfs_paths)(view, [1], spec, stats))
+
+
+#: A ring 0 -> 1 -> ... -> 5 -> 0 with chords i -> i + 2, for SQL.
+RING_SQL = [
+    "CREATE TABLE V (id INTEGER PRIMARY KEY)",
+    "CREATE TABLE E (id INTEGER PRIMARY KEY, src INTEGER, dst INTEGER, w FLOAT)",
+    "INSERT INTO V VALUES (0), (1), (2), (3), (4), (5)",
+    "INSERT INTO E VALUES " + ", ".join(
+        f"({i}, {i}, {(i + 1) % 6}, 1.0), ({10 + i}, {i}, {(i + 2) % 6}, 2.0)"
+        for i in range(6)),
+    "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM V "
+    "EDGES(ID = id, FROM = src, TO = dst, w = w) FROM E",
+]
+MISSING_END = "PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 999999"
+
+
+class TestMissingEndVertex:
+    """An end vertex that names no vertex matches no path: every scan
+    returns before it examines a single edge."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("scan, options", [
+        ("dfs", {"max_length": 4}),
+        ("dfs", {}),
+        ("bfs", {"max_length": 4}),
+        ("bfs", {"max_length": 4, "unique_vertices": True}),
+        ("sp", {}),
+    ])
+    def test_scan_functions(self, scan, options, directed):
+        view = diamond_view(directed)
+        stats = TraversalStats()
+        spec = TraversalSpec(target_vertex_id=999999, **options)
+        assert run_scan(view, scan, spec, stats) == []
+        assert stats.edges_examined == 0
+        # the same scan toward a vertex that exists does walk
+        spec = TraversalSpec(target_vertex_id=4, **options)
+        assert run_scan(view, scan, spec, TraversalStats())
+
+    @pytest.mark.parametrize("query", [
+        f"SELECT PS.Length FROM g.Paths PS WHERE {MISSING_END} LIMIT 1",
+        "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) "
+        f"WHERE {MISSING_END} LIMIT 1",
+        f"SELECT PS.Length FROM g.Paths PS HINT(DFS) WHERE {MISSING_END} "
+        "AND PS.Length = 4",
+        f"SELECT PS.Length FROM g.Paths PS HINT(BFS) WHERE {MISSING_END} "
+        "AND PS.Length = 4",
+    ], ids=["reach", "shortest", "dfs", "bfs"])
+    def test_sql(self, query):
+        db = Database()
+        for statement in RING_SQL:
+            db.execute(statement)
+        assert db.execute(query).rows == []
+        plan = "\n".join(row[0] for row in db.execute("EXPLAIN ANALYZE " + query).rows)
+        assert re.search(r"\[traversal mode=\w+ paths=0 vertices=\d+ edges=0 ", plan), plan
 
 
 class TestGlobalVisitedMode:

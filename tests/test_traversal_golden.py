@@ -1,11 +1,14 @@
-"""Golden counters for the path scans.
+"""Golden paths and counters for the path scans.
 
-``traversal_golden.json`` was recorded with the five hand-copied scan
-loops the one-contract ``graph/traversal.py`` replaced: per case, the
-emitted path sequence (in emission order, with the SPScan cost) and the
-``TraversalStats`` counters. The rewrite must reproduce both exactly —
-the counters are what ``benchmarks/layers`` reports as
-``graph.edges_per_path`` / ``vertices_per_path`` / ``peak_frontier``.
+``traversal_golden.json`` holds, per case, the emitted path sequence (in
+emission order, with the SPScan cost) and the ``TraversalStats``
+counters. The paths are the scans' answers and never change; the
+counters are what ``benchmarks/layers`` reports as
+``graph.edges_per_path`` / ``vertices_per_path`` / ``peak_frontier`` and
+change only when a scan is meant to do less (or more) work. The two are
+separate tests, and re-recording rewrites the counters only: it refuses
+to run while any case's paths differ from the file, so a recorded
+counter change cannot carry a path change along.
 
 Re-record (only when a change of the counters is intended)::
 
@@ -118,18 +121,34 @@ def run_case(graph_name, scan_name):
 CASES = [f"{graph}/{scan}" for graph in GRAPHS for scan in SCANS]
 
 
+def load_golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
 def record():
-    lines = [
-        f"{json.dumps(case)}: {json.dumps(run_case(*case.split('/')))}"
-        for case in CASES
+    """Rewrite the counters; a case new to the file records its paths."""
+    golden = load_golden()
+    results = {case: run_case(*case.split("/")) for case in CASES}
+    changed = [
+        case for case, result in results.items()
+        if case in golden and result["paths"] != golden[case]["paths"]
     ]
+    if changed:
+        sys.exit("paths differ from the golden file, not recording: "
+                 + ", ".join(changed))
+    lines = [f"{json.dumps(case)}: {json.dumps(results[case])}" for case in CASES]
     GOLDEN_PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_scan_matches_golden(case):
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    assert run_case(*case.split("/")) == golden[case]
+    """The emitted paths, in order, with their costs."""
+    assert run_case(*case.split("/"))["paths"] == load_golden()[case]["paths"]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_scan_counters_match_golden(case):
+    assert run_case(*case.split("/"))["stats"] == load_golden()[case]["stats"]
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
