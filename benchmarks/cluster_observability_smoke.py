@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import socket
 import subprocess
 import sys
 import tempfile
@@ -60,20 +59,6 @@ DEADLINE = 45.0  # per wait; CI runners can be slow
 
 class SmokeFailure(AssertionError):
     """One failed smoke assertion (message is the whole report)."""
-
-
-def free_ports(count: int) -> List[int]:
-    socks = []
-    try:
-        for _ in range(count):
-            sock = socket.socket()
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind(("127.0.0.1", 0))
-            socks.append(sock)
-        return [sock.getsockname()[1] for sock in socks]
-    finally:
-        for sock in socks:
-            sock.close()
 
 
 def http_get(url: str, timeout: float = 3.0) -> Tuple[int, str]:
@@ -109,6 +94,8 @@ class Cluster:
     """Three ``python -m repro --cluster`` subprocesses + their ports."""
 
     def __init__(self, directory: str):
+        from repro.resilience.chaos import free_ports
+
         self.directory = directory
         ports = free_ports(9)
         self.client_ports = dict(zip(NAMES, ports[0:3]))

@@ -85,7 +85,7 @@ from ..resilience.faults import (
     SITE_LOG_FSYNC,
     SITE_LOG_TRUNCATE,
     SITE_LOG_WRITE,
-    FaultyIO,
+    FaultInjector,
     check_site,
 )
 from ..resilience.retry import RetryPolicy
@@ -272,7 +272,7 @@ class _LogFile:
         path: str,
         sync: str = "commit",
         batch_interval: int = 64,
-        io: Optional[FaultyIO] = None,
+        io: Optional[FaultInjector] = None,
         fsync_retry: Optional[RetryPolicy] = None,
     ):
         if sync not in _SYNC_POLICIES:
@@ -382,7 +382,7 @@ class CommandLog:
         sync: str = "commit",
         epoch: Optional[int] = None,
         batch_interval: int = 64,
-        io: Optional[FaultyIO] = None,
+        io: Optional[FaultInjector] = None,
         fsync_retry: Optional[RetryPolicy] = None,
     ):
         if database.command_log is not None:
@@ -571,7 +571,7 @@ def enable_command_log(
     sync: str = "commit",
     epoch: Optional[int] = None,
     batch_interval: int = 64,
-    io: Optional[FaultyIO] = None,
+    io: Optional[FaultInjector] = None,
     fsync_retry: Optional[RetryPolicy] = None,
 ) -> CommandLog:
     """Attach a command log to ``database``; returns the log handle.

@@ -37,7 +37,7 @@ from ..resilience.faults import (
     SITE_SNAPSHOT_FSYNC,
     SITE_SNAPSHOT_RENAME,
     SITE_SNAPSHOT_WRITE,
-    FaultyIO,
+    FaultInjector,
     check_site,
 )
 from ..graph.graph_view import ExtraAttributeSource, GraphView
@@ -239,7 +239,7 @@ def save_snapshot(
     database: Database,
     path: str,
     replication: Optional[Dict[str, Any]] = None,
-    io: Optional[FaultyIO] = None,
+    io: Optional[FaultInjector] = None,
 ) -> None:
     """Write the database to ``path`` as a JSON snapshot, atomically.
 

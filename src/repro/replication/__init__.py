@@ -5,17 +5,12 @@ primitives (command log + snapshots): the primary frames every committed
 statement with ``(epoch, sequence)`` and streams it to replicas, which
 apply it through the standard replay path against read-only databases.
 Failover, divergence detection (logical state digests, including
-graph-view topologies), split-brain fencing, and a deterministic
-fault-injection harness are all here. See ``docs/replication.md``.
+graph-view topologies) and split-brain fencing are all here; the
+seeded fault injector the chaos suite drives them with is
+:mod:`repro.resilience.faults`. See ``docs/replication.md``.
 """
 
 from .digest import combined_digest, database_digest, table_digest
-from .fault_injection import (
-    CRASH_SITES,
-    FaultInjector,
-    SimulatedCrash,
-    register_crash_site,
-)
 from .manager import ReplicationManager
 from .node import ClusterNode, PeerSpec, parse_peers, probe_state
 from .primary import Primary, ReplicaLink
@@ -23,21 +18,17 @@ from .replica import Replica
 from .transport import Channel, Message
 
 __all__ = [
-    "CRASH_SITES",
     "Channel",
     "ClusterNode",
-    "FaultInjector",
     "Message",
     "PeerSpec",
     "Primary",
     "Replica",
     "ReplicaLink",
     "ReplicationManager",
-    "SimulatedCrash",
     "parse_peers",
     "probe_state",
     "combined_digest",
     "database_digest",
-    "register_crash_site",
     "table_digest",
 ]

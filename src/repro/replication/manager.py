@@ -33,8 +33,8 @@ from typing import Dict, List, Optional
 
 from ..errors import ReplicationError
 from ..observability.metrics import recording_registry
+from ..resilience.faults import FaultInjector
 from ..resilience.retry import RetryPolicy
-from .fault_injection import FaultInjector
 from .primary import Primary
 from .replica import Replica
 from .transport import Channel

@@ -32,32 +32,32 @@ from ..core.database import Database
 from ..core.snapshot import snapshot_to_dict
 from ..errors import FencedError, ReplicationError
 from ..observability import tracing as tracing_module
+from ..resilience.faults import FaultInjector, SimulatedCrash, register_site
 from .digest import database_digest
-from .fault_injection import (
-    FaultInjector,
-    SimulatedCrash,
-    register_crash_site,
-)
 from .transport import Channel, Message
 
-SITE_BEFORE_COMMIT = register_crash_site(
-    "primary.before_commit",
+SITE_BEFORE_COMMIT = register_site(
+    "primary.before_commit", "replication",
     "dies before the statement commits: no state change anywhere",
+    kinds=("crash",),
 )
-SITE_AFTER_COMMIT_BEFORE_LOG = register_crash_site(
-    "primary.after_commit_before_log",
+SITE_AFTER_COMMIT_BEFORE_LOG = register_site(
+    "primary.after_commit_before_log", "replication",
     "dies with the commit in memory but not on disk: the write is lost "
     "with the process, and the client was never acknowledged",
+    kinds=("crash",),
 )
-SITE_AFTER_LOG_BEFORE_SHIP = register_crash_site(
-    "primary.after_log_before_ship",
+SITE_AFTER_LOG_BEFORE_SHIP = register_site(
+    "primary.after_log_before_ship", "replication",
     "dies with the record durable locally but never shipped: failover "
     "loses it, and the client was never acknowledged",
+    kinds=("crash",),
 )
-SITE_AFTER_SHIP_BEFORE_ACK = register_crash_site(
-    "primary.after_ship_before_ack",
+SITE_AFTER_SHIP_BEFORE_ACK = register_site(
+    "primary.after_ship_before_ack", "replication",
     "dies after shipping but before acknowledging: replicas may apply "
     "the write; the client must treat the outcome as unknown",
+    kinds=("crash",),
 )
 
 
@@ -220,7 +220,7 @@ class Primary:
 
     def _crash(self, site: str) -> None:
         if self.injector is not None:
-            self.injector.crash_if_armed(site)
+            self.injector.check(site)
 
     # ------------------------------------------------------------------
     # background pump: acks, retransmission, heartbeats, digests

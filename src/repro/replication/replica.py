@@ -48,22 +48,20 @@ from ..core.command_log import (
 from ..core.database import Database
 from ..core.snapshot import restore_into, verify_snapshot_document
 from ..errors import DivergenceError, RecoveryError, ReplicationError
+from ..resilience.faults import FaultInjector, SimulatedCrash, register_site
 from .digest import database_digest
-from .fault_injection import (
-    FaultInjector,
-    SimulatedCrash,
-    register_crash_site,
-)
 from .transport import Channel, Message
 
-SITE_BEFORE_APPLY = register_crash_site(
-    "replica.before_apply",
+SITE_BEFORE_APPLY = register_site(
+    "replica.before_apply", "replication",
     "dies before applying a shipped record: pure retransmission case",
+    kinds=("crash",),
 )
-SITE_AFTER_APPLY_BEFORE_LOG = register_crash_site(
-    "replica.after_apply_before_log",
+SITE_AFTER_APPLY_BEFORE_LOG = register_site(
+    "replica.after_apply_before_log", "replication",
     "dies after applying in memory but before the applied-log write: "
     "restart recovers to the pre-apply state and the primary re-ships",
+    kinds=("crash",),
 )
 
 
@@ -301,7 +299,7 @@ class Replica:
 
     def _crash(self, site: str) -> None:
         if self.injector is not None:
-            self.injector.crash_if_armed(site)
+            self.injector.check(site)
 
     # ------------------------------------------------------------------
     # crash / restart / promotion

@@ -2,7 +2,7 @@
 
 A :class:`Channel` is one direction of a link (primary → replica or
 replica → primary): an ordered queue with an optional
-:class:`~repro.replication.fault_injection.FaultInjector` deciding, per
+:class:`~repro.resilience.faults.FaultInjector` deciding, per
 message, whether to drop, corrupt, duplicate, delay or reorder it. The
 cluster is pumped cooperatively (single process, deterministic), which
 is what lets the chaos suite replay a failure from a seed; the protocol
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from .fault_injection import FaultInjector
+from ..resilience.faults import FaultInjector
 
 #: Message kinds (documentation; the protocol dispatches on the string).
 KINDS = (

@@ -1,9 +1,11 @@
-"""Resilience: storage fault injection, degraded modes, self-healing.
+"""Resilience: fault injection, degraded modes, self-healing, chaos.
 
-Four pieces, layered so the core engine can import the light ones:
+Five pieces, layered so the core engine can import the light ones:
 
-* :mod:`~repro.resilience.faults` — seeded filesystem fault injector
-  (:class:`FaultyIO`) consulted by the storage layer at named sites.
+* :mod:`~repro.resilience.faults` — the one seeded fault injector
+  (:class:`FaultInjector`): message faults for the replication
+  transport, and armed faults at the named storage and replication
+  sites of one registry (:data:`SITES`).
 * :mod:`~repro.resilience.retry` — the shared :class:`RetryPolicy`
   (jittered exponential backoff) and :class:`CircuitBreaker`.
 * :mod:`~repro.resilience.health` — the HEALTHY → DEGRADED →
@@ -14,19 +16,21 @@ Four pieces, layered so the core engine can import the light ones:
   Supervisor``); it depends on the core engine, so it is *not*
   re-exported here — that would make ``core.database`` →
   ``resilience.health`` a circular import.
-* :mod:`~repro.resilience.matrix` — the crash-point matrix harness
-  (also a submodule, runnable as ``python -m repro.resilience.matrix``).
+* :mod:`~repro.resilience.chaos` — the chaos runner and its storage and
+  cluster scenario tables (also a submodule, runnable as
+  ``python -m repro.resilience.chaos {storage|cluster}``).
 """
 
 from .faults import (
     FAULT_KINDS,
-    STORAGE_SITES,
-    FaultyIO,
+    SITES,
+    FaultInjector,
+    SimulatedCrash,
     ambient_io,
     check_site,
     injected,
     install,
-    register_storage_site,
+    register_site,
     uninstall,
 )
 from .health import (
@@ -41,13 +45,14 @@ from .retry import CircuitBreaker, RetryPolicy
 
 __all__ = [
     "FAULT_KINDS",
-    "STORAGE_SITES",
-    "FaultyIO",
+    "SITES",
+    "FaultInjector",
+    "SimulatedCrash",
     "ambient_io",
     "check_site",
     "injected",
     "install",
-    "register_storage_site",
+    "register_site",
     "uninstall",
     "HEALTHY",
     "DEGRADED",

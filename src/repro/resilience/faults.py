@@ -1,38 +1,50 @@
-"""Deterministic filesystem fault injection for the storage path.
+"""Deterministic fault injection: one seeded injector, two site families.
 
-PR 2's chaos harness proved the *network* path under drop / delay /
-duplicate / reorder faults; this module gives the *storage* path the
-same treatment. A :class:`FaultyIO` is a seeded source of disk
-misbehavior that the durability substrate (``core/command_log.py`` and
-``core/snapshot.py``) consults at **named fault sites** — the storage
-analogue of the replication crash points:
+A :class:`FaultInjector` is the single source of every injected fault.
+All of its randomness comes from one ``random.Random(seed)``, so a
+failing chaos run replays bit-for-bit from its seed. It does two jobs:
 
-========================================  =================================
-``commandlog.write``                      a record line is about to be
-                                          written to the log file
-``commandlog.fsync``                      the log file is about to be
-                                          fsync'd (the durability point)
-``commandlog.truncate``                   the log is about to be reset
-                                          after a checkpoint snapshot
-``snapshot.write``                        the snapshot JSON is about to be
-                                          written to its temp file
-``snapshot.fsync``                        the temp file is about to be
-                                          fsync'd
-``snapshot.rename``                       the temp file is about to be
-                                          atomically renamed into place
-``checkpoint.before_truncate``            the snapshot is durable but the
-                                          command log has not yet been
-                                          truncated (double-replay window)
-``probe.write`` / ``probe.fsync``         the supervisor's health probe is
-                                          touching the data directory
-========================================  =================================
+* **Message faults** — it sits inside every
+  :class:`~repro.replication.transport.Channel` and may drop, delay,
+  duplicate, reorder, or corrupt each message sent through it
+  (independent per-message probabilities; see :meth:`roll`).
 
-At each site the injector can fire one of four **fault kinds**:
+* **Armed faults at named sites** — production code calls
+  :meth:`FaultInjector.check` at named points. Each site belongs to a
+  *family* and declares the fault kinds valid there:
+
+  ``storage`` (the durability substrate — ``core/command_log.py``,
+  ``core/snapshot.py`` and the supervisor):
+
+  ========================================  =================================
+  ``commandlog.write``                      a record line is about to be
+                                            written to the log file
+  ``commandlog.fsync``                      the log file is about to be
+                                            fsync'd (the durability point)
+  ``commandlog.truncate``                   the log is about to be reset
+                                            after a checkpoint snapshot
+  ``snapshot.write``                        the snapshot JSON is about to be
+                                            written to its temp file
+  ``snapshot.fsync``                        the temp file is about to be
+                                            fsync'd
+  ``snapshot.rename``                       the temp file is about to be
+                                            atomically renamed into place
+  ``checkpoint.before_truncate``            the snapshot is durable but the
+                                            command log has not yet been
+                                            truncated (double-replay window)
+  ``probe.write`` / ``probe.fsync``         the supervisor's health probe is
+                                            touching the data directory
+  ========================================  =================================
+
+  ``replication`` — the crash points compiled into
+  :class:`~repro.replication.primary.Primary` (``primary.*``) and
+  :class:`~repro.replication.replica.Replica` (``replica.*``); they
+  accept only ``crash``.
+
+The fault kinds:
 
 * ``"crash"`` — the process dies at exactly this instruction
-  (:class:`~repro.replication.fault_injection.SimulatedCrash`, shared
-  with the replication chaos harness so no engine-level handler can
-  swallow it);
+  (:class:`SimulatedCrash`);
 * ``"torn"`` — a random *prefix* of the data is written (and flushed so
   the bytes really land in the file), then the process dies: the classic
   torn write;
@@ -41,16 +53,15 @@ At each site the injector can fire one of four **fault kinds**:
 * ``"enospc"`` — the operation fails with ``OSError(ENOSPC)`` (disk
   full). Usually armed ``persistent=True``: a full disk stays full.
 
-All randomness (torn-write cut points, generated schedules) comes from
-one ``random.Random(seed)``, so a failing run replays bit-for-bit from
-its seed — the property the crash-point matrix in
-:mod:`repro.resilience.matrix` is built on.
+The registry :data:`SITES` is importable so the chaos runner
+(:mod:`repro.resilience.chaos`) and the chaos suite can enumerate every
+site of a family.
 
-Injection is opt-in and ambient: production code calls
-:func:`check_site`, which is a no-op unless a test (or the matrix
-harness) has installed an injector with :func:`install` /
-:func:`injected`. The storage layer pays one ``is None`` check per
-durable operation when injection is off.
+Storage injection is opt-in and ambient: the storage layer calls
+:func:`check_site`, which is a no-op unless a test (or the chaos
+runner) has installed an injector with :func:`install` /
+:func:`injected`. It pays one ``is None`` check per durable operation
+when injection is off.
 """
 
 from __future__ import annotations
@@ -58,155 +69,208 @@ from __future__ import annotations
 import errno
 import random
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
-def _simulated_crash(site: str):
-    # Imported lazily: faults is imported by core.command_log, and the
-    # replication package's __init__ imports core.command_log back —
-    # a module-level import here would close that cycle.
-    from ..replication.fault_injection import SimulatedCrash
+class SimulatedCrash(RuntimeError):
+    """The process died at a named fault site (simulation).
 
-    return SimulatedCrash(site)
+    Deliberately **not** a :class:`~repro.errors.DatabaseError`: no
+    engine-level handler may swallow a simulated process death — only
+    the replication layer's explicit crash guards (which mark the node
+    down) and the test harness see it.
+    """
+
+    def __init__(self, site: str):
+        super().__init__(f"simulated crash at {site}")
+        self.site = site
 
 
-#: Every named storage fault site, ``name -> (description, valid kinds)``.
-#: The crash-point matrix iterates this to cover all of them.
-STORAGE_SITES: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-
-#: All fault kinds an injector can fire.
+#: All fault kinds a site can fire.
 FAULT_KINDS = ("crash", "torn", "eio", "enospc")
 
 
-def register_storage_site(
-    name: str, description: str = "", kinds: Tuple[str, ...] = FAULT_KINDS
+class Site(NamedTuple):
+    family: str  # "storage" or "replication"
+    description: str
+    kinds: Tuple[str, ...]
+
+
+#: Every named fault site, ``name -> Site``.
+SITES: Dict[str, Site] = {}
+
+
+def register_site(
+    name: str,
+    family: str,
+    description: str = "",
+    kinds: Tuple[str, ...] = FAULT_KINDS,
 ) -> str:
-    """Declare a storage fault site; returns ``name`` for use as a constant."""
+    """Declare a fault site; returns ``name`` for use as a constant."""
     for kind in kinds:
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
-    STORAGE_SITES[name] = (description, tuple(kinds))
+    SITES[name] = Site(family, description, tuple(kinds))
     return name
 
 
-SITE_LOG_WRITE = register_storage_site(
-    "commandlog.write",
+SITE_LOG_WRITE = register_site(
+    "commandlog.write", "storage",
     "a command-log record line is about to be written",
 )
-SITE_LOG_FSYNC = register_storage_site(
-    "commandlog.fsync",
+SITE_LOG_FSYNC = register_site(
+    "commandlog.fsync", "storage",
     "the command log is about to be fsync'd (the durability point)",
     kinds=("crash", "eio", "enospc"),
 )
-SITE_LOG_TRUNCATE = register_storage_site(
-    "commandlog.truncate",
+SITE_LOG_TRUNCATE = register_site(
+    "commandlog.truncate", "storage",
     "the command log is about to be truncated after a checkpoint",
     kinds=("crash", "eio"),
 )
-SITE_SNAPSHOT_WRITE = register_storage_site(
-    "snapshot.write",
+SITE_SNAPSHOT_WRITE = register_site(
+    "snapshot.write", "storage",
     "the snapshot document is about to be written to its temp file",
 )
-SITE_SNAPSHOT_FSYNC = register_storage_site(
-    "snapshot.fsync",
+SITE_SNAPSHOT_FSYNC = register_site(
+    "snapshot.fsync", "storage",
     "the snapshot temp file is about to be fsync'd",
     kinds=("crash", "eio", "enospc"),
 )
-SITE_SNAPSHOT_RENAME = register_storage_site(
-    "snapshot.rename",
+SITE_SNAPSHOT_RENAME = register_site(
+    "snapshot.rename", "storage",
     "the snapshot temp file is about to be renamed into place",
     kinds=("crash", "eio"),
 )
-SITE_CHECKPOINT_TRUNCATE = register_storage_site(
-    "checkpoint.before_truncate",
+SITE_CHECKPOINT_TRUNCATE = register_site(
+    "checkpoint.before_truncate", "storage",
     "the checkpoint snapshot is durable; the command log is not yet "
     "truncated (recovery must not double-apply the overlap)",
     kinds=("crash",),
 )
-SITE_PROBE_WRITE = register_storage_site(
-    "probe.write",
+SITE_PROBE_WRITE = register_site(
+    "probe.write", "storage",
     "the supervisor's health probe is writing its probe file",
     kinds=("eio", "enospc"),
 )
-SITE_PROBE_FSYNC = register_storage_site(
-    "probe.fsync",
+SITE_PROBE_FSYNC = register_site(
+    "probe.fsync", "storage",
     "the supervisor's health probe is fsync'ing its probe file",
     kinds=("eio", "enospc"),
 )
 
 
-class FaultPlan:
-    """One armed fault: fire ``kind`` on the ``after``-th hit of ``site``.
+class _Plan:
+    """One armed fault: fire ``kind`` when ``remaining`` hits reach 1.
 
     ``persistent`` plans keep firing on every hit once triggered (a full
     disk stays full); transient plans fire exactly once (a single bad
     sector, a spurious EIO a bounded retry can absorb).
     """
 
-    __slots__ = ("site", "kind", "after", "persistent", "remaining", "fired")
+    __slots__ = ("kind", "remaining", "persistent")
 
-    def __init__(self, site: str, kind: str, after: int, persistent: bool):
-        self.site = site
+    def __init__(self, kind: str, after: int, persistent: bool):
         self.kind = kind
-        self.after = after
-        self.persistent = persistent
         self.remaining = after
-        self.fired = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"FaultPlan({self.site}, {self.kind}, after={self.after}, "
-            f"persistent={self.persistent}, fired={self.fired})"
-        )
+        self.persistent = persistent
 
 
-class FaultyIO:
-    """A seeded filesystem fault injector for the storage layer.
+class FaultInjector:
+    """Seeded source of message faults and armed site faults.
 
     ::
 
-        io = FaultyIO(seed=7)
-        io.inject(SITE_LOG_FSYNC, "eio", persistent=True)
-        with injected(io):
-            db.execute("INSERT ...")   # raises DurabilityError, degrades
+        injector = FaultInjector(seed=7, drop=0.05)   # lossy channels
+        injector.inject("primary.before_commit", "crash")
+        injector.inject(SITE_LOG_FSYNC, "eio", persistent=True)
 
-    ``counts`` / ``injected_log`` record every fault actually fired so a
-    test can assert its chaos really happened.
+    ``drop``/``duplicate``/``reorder``/``corrupt``/``delay`` are
+    independent per-message probabilities in ``[0, 1]``; a delayed
+    message is held back for 1..``max_delay_ticks`` deliveries.
+    ``counts`` and ``fired`` record every fault actually injected, so a
+    test can assert its chaos really happened; ``hits`` counts every
+    site reached, fired or not.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(
+        self,
+        seed: int = 0,
+        drop: float = 0.0,
+        duplicate: float = 0.0,
+        reorder: float = 0.0,
+        corrupt: float = 0.0,
+        delay: float = 0.0,
+        max_delay_ticks: int = 3,
+    ):
         self.seed = seed
         self.random = random.Random(seed)
-        self._plans: Dict[str, FaultPlan] = {}
-        self.counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
-        #: ``(site, kind)`` per fault fired, in order.
-        self.injected_log: List[Tuple[str, str]] = []
-        #: Total site hits (fired or not), per site — lets the matrix
-        #: harness learn how often each site is reached by a workload.
+        self.probabilities = {
+            "drop": drop,
+            "duplicate": duplicate,
+            "reorder": reorder,
+            "corrupt": corrupt,
+            "delay": delay,
+        }
+        for name, value in self.probabilities.items():
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        self.max_delay_ticks = max(1, max_delay_ticks)
+        self.counts: Dict[str, int] = {
+            kind: 0 for kind in (*self.probabilities, *FAULT_KINDS)
+        }
+        #: ``(site, kind)`` per site fault fired, in order.
+        self.fired: List[Tuple[str, str]] = []
+        #: Site hits (fired or not), per site.
         self.hits: Dict[str, int] = {}
+        self._plans: Dict[str, _Plan] = {}
+
+    # ------------------------------------------------------------------
+    # message faults (used by transport.Channel)
+    # ------------------------------------------------------------------
+
+    def roll(self, kind: str) -> bool:
+        probability = self.probabilities[kind]
+        if probability <= 0.0:
+            return False
+        hit = self.random.random() < probability
+        if hit:
+            self.counts[kind] += 1
+        return hit
+
+    def delay_ticks(self) -> int:
+        return self.random.randint(1, self.max_delay_ticks)
+
+    def corrupt_text(self, text: str) -> str:
+        """Flip one character of ``text`` (guaranteed different)."""
+        if not text:
+            return "\x00"
+        index = self.random.randrange(len(text))
+        original = text[index]
+        replacement = "#" if original != "#" else "@"
+        return text[:index] + replacement + text[index + 1:]
+
+    # ------------------------------------------------------------------
+    # site faults
+    # ------------------------------------------------------------------
 
     def inject(
-        self,
-        site: str,
-        kind: str = "eio",
-        after: int = 1,
-        persistent: bool = False,
+        self, site: str, kind: str, after: int = 1, persistent: bool = False
     ) -> None:
         """Arm ``site`` to fire ``kind`` on its ``after``-th hit."""
-        if site not in STORAGE_SITES:
+        if site not in SITES:
             raise ValueError(
-                f"unknown storage site {site!r}; registered: "
-                f"{sorted(STORAGE_SITES)}"
+                f"unknown storage site or crash point {site!r}; "
+                f"registered: {sorted(SITES)}"
             )
-        _description, valid = STORAGE_SITES[site]
+        valid = SITES[site].kinds
         if kind not in valid:
             raise ValueError(
-                f"fault kind {kind!r} is not valid at {site} "
-                f"(valid: {valid})"
+                f"fault kind {kind!r} is not valid at {site} (valid: {valid})"
             )
         if after < 1:
             raise ValueError("after must be >= 1")
-        self._plans[site] = FaultPlan(site, kind, after, persistent)
+        self._plans[site] = _Plan(kind, after, persistent)
 
     def clear(self, site: Optional[str] = None) -> None:
         """Disarm one site (or, with no argument, every site)."""
@@ -215,15 +279,8 @@ class FaultyIO:
         else:
             self._plans.pop(site, None)
 
-    def armed(self, site: Optional[str] = None) -> bool:
-        if site is None:
-            return bool(self._plans)
-        return site in self._plans
-
-    # ------------------------------------------------------------------
-
     def check(self, site: str, handle=None, data: Optional[str] = None) -> None:
-        """Called by instrumented storage code at fault site ``site``.
+        """Called by instrumented code at fault site ``site``.
 
         May raise ``OSError`` (``eio`` / ``enospc``) or
         :class:`SimulatedCrash` (``crash`` / ``torn``); for ``torn`` a
@@ -238,33 +295,32 @@ class FaultyIO:
         if plan.remaining > 1:
             plan.remaining -= 1
             return
-        if plan.fired and not plan.persistent:
-            return
-        plan.remaining = 0
-        plan.fired += 1
         kind = plan.kind
         self.counts[kind] += 1
-        self.injected_log.append((site, kind))
+        self.fired.append((site, kind))
         if not plan.persistent:
             del self._plans[site]
-        if kind == "crash":
-            raise _simulated_crash(site)
-        if kind == "torn":
-            if handle is not None and data:
-                cut = self.random.randrange(0, len(data))
-                if cut:
-                    handle.write(data[:cut])
-                    handle.flush()
-            raise _simulated_crash(site)
+        if kind == "torn" and handle is not None and data:
+            cut = self.random.randrange(0, len(data))
+            if cut:
+                handle.write(data[:cut])
+                handle.flush()
+        if kind in ("crash", "torn"):
+            raise SimulatedCrash(site)
         if kind == "eio":
             raise OSError(errno.EIO, f"injected I/O error at {site}")
         raise OSError(errno.ENOSPC, f"injected disk-full at {site}")
 
     def __repr__(self) -> str:
+        active = {
+            kind: probability
+            for kind, probability in self.probabilities.items()
+            if probability > 0
+        }
         return (
-            f"FaultyIO(seed={self.seed}, "
+            f"FaultInjector(seed={self.seed}, faults={active or 'none'}, "
             f"armed={sorted(self._plans) or 'none'}, "
-            f"fired={self.injected_log or 'none'})"
+            f"fired={self.fired or 'none'})"
         )
 
 
@@ -273,10 +329,10 @@ class FaultyIO:
 # ---------------------------------------------------------------------------
 
 _ambient_lock = threading.Lock()
-_ambient: Optional[FaultyIO] = None
+_ambient: Optional[FaultInjector] = None
 
 
-def install(io: FaultyIO) -> FaultyIO:
+def install(io: FaultInjector) -> FaultInjector:
     """Install ``io`` as the process-wide ambient injector."""
     global _ambient
     with _ambient_lock:
@@ -290,17 +346,17 @@ def uninstall() -> None:
         _ambient = None
 
 
-def ambient_io() -> Optional[FaultyIO]:
+def ambient_io() -> Optional[FaultInjector]:
     return _ambient
 
 
 class injected:
-    """``with injected(FaultyIO(...)):`` — scoped ambient installation."""
+    """``with injected(FaultInjector(...)):`` — scoped ambient installation."""
 
-    def __init__(self, io: FaultyIO):
+    def __init__(self, io: FaultInjector):
         self.io = io
 
-    def __enter__(self) -> FaultyIO:
+    def __enter__(self) -> FaultInjector:
         install(self.io)
         return self.io
 
@@ -310,7 +366,7 @@ class injected:
 
 
 def check_site(site: str, handle=None, data: Optional[str] = None,
-               io: Optional[FaultyIO] = None) -> None:
+               io: Optional[FaultInjector] = None) -> None:
     """The storage layer's single injection point.
 
     Uses ``io`` when given, otherwise the ambient injector; a no-op

@@ -53,7 +53,7 @@ from .faults import (
     SITE_CHECKPOINT_TRUNCATE,
     SITE_PROBE_FSYNC,
     SITE_PROBE_WRITE,
-    FaultyIO,
+    FaultInjector,
     check_site,
 )
 from .health import DEGRADED, FAILED, HEALTHY, RECOVERING
@@ -76,7 +76,7 @@ class Supervisor:
         heal_after_probes: int = 2,
         heal_breaker: Optional[CircuitBreaker] = None,
         fsync_retry: Optional[RetryPolicy] = None,
-        io: Optional[FaultyIO] = None,
+        io: Optional[FaultInjector] = None,
         scheduler=None,
     ):
         self.data_dir = pathlib.Path(data_dir)

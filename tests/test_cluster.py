@@ -4,12 +4,11 @@ Everything here runs real :class:`~repro.replication.node.ClusterNode`
 processes-in-threads (TCP replication links, TCP client ports, the
 single-writer scheduler — the same code paths ``repro --cluster``
 uses) and talks to them with the cluster-aware
-:class:`~repro.client.Client`. The seeded whole-cluster chaos sweep
-lives in ``repro.resilience.cluster_matrix`` (CI job ``chaos-cluster``);
-these tests pin the individual contracts the matrix composes.
+:class:`~repro.client.Client`. The seeded whole-cluster chaos sweep is
+the ``cluster`` table of ``repro.resilience.chaos`` (CI job
+``chaos-cluster``); these tests pin the individual contracts it composes.
 """
 
-import socket
 import threading
 import time
 
@@ -25,6 +24,7 @@ from repro.observability import tracing as observability_tracing
 from repro.replication.digest import database_digest
 from repro.errors import ReplicationError
 from repro.replication.node import ClusterNode, PeerSpec, parse_peers
+from repro.resilience.chaos import free_ports
 from repro.resilience.retry import RetryPolicy
 
 NAMES = ("n1", "n2", "n3")
@@ -37,20 +37,6 @@ def wait_until(predicate, timeout=10.0, interval=0.02):
             return True
         time.sleep(interval)
     return predicate()
-
-
-def free_ports(count):
-    socks = []
-    try:
-        for _ in range(count):
-            sock = socket.socket()
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind(("127.0.0.1", 0))
-            socks.append(sock)
-        return [sock.getsockname()[1] for sock in socks]
-    finally:
-        for sock in socks:
-            sock.close()
 
 
 class ClusterHarness:
@@ -754,10 +740,10 @@ def _redial_ok(client) -> bool:
 
 class TestMatrixSmoke:
     def test_kill_primary_cell_passes(self, tmp_path):
-        from repro.resilience.cluster_matrix import run_cell
+        from repro.resilience.chaos import CLUSTER, run_cell
 
         cell = run_cell(
-            "kill_primary", seed=0, data_dir=str(tmp_path), steps=6
+            CLUSTER, ("kill_primary",), seed=0, data_dir=str(tmp_path), steps=6
         )
         assert cell["passed"], cell["failure"]
         assert cell["acked"] > 0

@@ -10,18 +10,10 @@ import warnings
 
 import pytest
 
-from repro.resilience.faults import STORAGE_SITES
-from repro.resilience.matrix import MATRIX_SITES, run_cell, run_matrix
+from repro.resilience.chaos import STORAGE, run_cell, run_matrix
 
 
-def _cells():
-    for site in MATRIX_SITES:
-        _description, kinds = STORAGE_SITES[site]
-        for kind in kinds:
-            yield site, kind
-
-
-@pytest.mark.parametrize("site,kind", list(_cells()))
+@pytest.mark.parametrize("site,kind", STORAGE.keys)
 def test_matrix_cell(site, kind, tmp_path):
     """Every data-path (site, kind) with one seed: recovery must equal
     the acknowledged prefix (in-flight statement allowed), or the node
@@ -29,11 +21,11 @@ def test_matrix_cell(site, kind, tmp_path):
     with warnings.catch_warnings():
         # torn-tail truncation warns by design; the matrix relies on it
         warnings.simplefilter("ignore")
-        cell = run_cell(site, kind, seed=0, data_dir=str(tmp_path))
+        cell = run_cell(STORAGE, (site, kind), seed=0, data_dir=str(tmp_path))
     assert cell["passed"], (
         f"matrix cell failed: {cell['failure']}\n"
-        f"repro: PYTHONPATH=src python -m repro.resilience.matrix "
-        f"--site {site} --seeds 0"
+        f"repro: PYTHONPATH=src python -m repro.resilience.chaos storage "
+        f"--only {site} --seeds 0"
     )
     assert cell["fault_fired"], "fault never fired: the site was not reached"
 
@@ -42,7 +34,7 @@ def test_matrix_report_shape():
     """One tiny end-to-end run through the report/tally plumbing."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = run_matrix([1], sites=["commandlog.fsync"], steps=10)
+        report = run_matrix(STORAGE, [1], only=["commandlog.fsync"], steps=10)
     assert report["cells"] == 3  # crash, eio, enospc
     assert report["failed"] == 0, report["failures"]
     assert sum(report["outcomes"].values()) == 3

@@ -20,11 +20,11 @@ from repro.observability import (
 )
 from repro.ambient import activate, current_tracer
 from repro.replication import (
-    FaultInjector,
     Primary,
     Replica,
     ReplicationManager,
 )
+from repro.resilience.faults import FaultInjector
 from repro.shell import Shell
 
 

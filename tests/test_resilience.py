@@ -19,14 +19,14 @@ from repro.core.database import Database
 from repro.core.snapshot import load_snapshot, save_snapshot, snapshot_temp_path
 from repro.errors import DegradedError, DurabilityError, RemoteError
 from repro.replication.digest import database_digest
-from repro.replication.fault_injection import SimulatedCrash
 from repro.resilience.faults import (
     SITE_LOG_FSYNC,
     SITE_LOG_WRITE,
     SITE_SNAPSHOT_RENAME,
     SITE_SNAPSHOT_WRITE,
-    STORAGE_SITES,
-    FaultyIO,
+    SITES,
+    FaultInjector,
+    SimulatedCrash,
     ambient_io,
     check_site,
     injected,
@@ -55,34 +55,38 @@ def fast_retry(**kwargs):
 
 
 # ---------------------------------------------------------------------------
-# FaultyIO
+# FaultInjector
 # ---------------------------------------------------------------------------
 
 
 class TestFaultyIO:
     def test_unknown_site_rejected(self):
-        io = FaultyIO()
+        io = FaultInjector()
         with pytest.raises(ValueError, match="unknown storage site"):
             io.inject("no.such.site", "eio")
 
     def test_invalid_kind_for_site_rejected(self):
-        io = FaultyIO()
-        # fsync has no data to tear
-        with pytest.raises(ValueError, match="not valid"):
-            io.inject(SITE_LOG_FSYNC, "torn")
+        io = FaultInjector()
+        # fsync has no data to tear; a replication crash point only crashes
+        for site, kind in (
+            (SITE_LOG_FSYNC, "torn"),
+            ("primary.before_commit", "eio"),
+        ):
+            with pytest.raises(ValueError, match="not valid"):
+                io.inject(site, kind)
 
     def test_transient_fault_fires_once(self):
-        io = FaultyIO()
+        io = FaultInjector()
         io.inject(SITE_LOG_FSYNC, "eio")
         with pytest.raises(OSError) as exc:
             io.check(SITE_LOG_FSYNC)
         assert exc.value.errno == errno.EIO
         io.check(SITE_LOG_FSYNC)  # disarmed after firing
         assert io.counts["eio"] == 1
-        assert io.injected_log == [(SITE_LOG_FSYNC, "eio")]
+        assert io.fired == [(SITE_LOG_FSYNC, "eio")]
 
     def test_persistent_fault_keeps_firing(self):
-        io = FaultyIO()
+        io = FaultInjector()
         io.inject(SITE_LOG_FSYNC, "enospc", persistent=True)
         for _ in range(3):
             with pytest.raises(OSError) as exc:
@@ -91,7 +95,7 @@ class TestFaultyIO:
         assert io.counts["enospc"] == 3
 
     def test_after_counts_hits(self):
-        io = FaultyIO()
+        io = FaultInjector()
         io.inject(SITE_LOG_WRITE, "eio", after=3)
         io.check(SITE_LOG_WRITE)
         io.check(SITE_LOG_WRITE)
@@ -102,7 +106,7 @@ class TestFaultyIO:
     def test_torn_writes_seeded_prefix_and_crashes(self, tmp_path):
         cuts = []
         for _ in range(2):
-            io = FaultyIO(seed=42)
+            io = FaultInjector(seed=42)
             io.inject(SITE_LOG_WRITE, "torn")
             path = tmp_path / f"torn-{len(cuts)}.txt"
             with open(path, "w") as handle:
@@ -115,7 +119,7 @@ class TestFaultyIO:
         assert set(cuts[0]) <= {"x"}
 
     def test_ambient_install_is_scoped(self):
-        io = FaultyIO()
+        io = FaultInjector()
         assert ambient_io() is None
         with injected(io) as active:
             assert active is io
@@ -125,10 +129,10 @@ class TestFaultyIO:
         assert ambient_io() is None
 
     def test_every_registered_site_has_valid_kinds(self):
-        assert len(STORAGE_SITES) >= 8
-        for name, (_description, kinds) in STORAGE_SITES.items():
+        assert len(SITES) >= 8
+        for name, (_family, _description, kinds) in SITES.items():
             assert kinds, name
-            io = FaultyIO()
+            io = FaultInjector()
             io.inject(name, kinds[0])  # accepted
 
 
@@ -312,7 +316,7 @@ def make_logged_db(tmp_path, io=None, sync="commit", fsync_retry=None, **kw):
 
 class TestDegradedMode:
     def test_enospc_mid_append_degrades(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         db, log = make_logged_db(tmp_path, io=io)
         db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR)")
         db.execute("INSERT INTO t VALUES (1, 'ok')")
@@ -323,7 +327,7 @@ class TestDegradedMode:
         assert "ENOSPC" in log.last_durable_error or "28" in log.last_durable_error
 
     def test_degraded_rejects_writes_allows_reads(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         db, _log = make_logged_db(tmp_path, io=io)
         db.execute("CREATE TABLE t (a INTEGER)")
         db.execute("INSERT INTO t VALUES (1)")
@@ -336,7 +340,7 @@ class TestDegradedMode:
             db.execute("INSERT INTO t VALUES (3)")
 
     def test_transient_fsync_eio_absorbed_by_bounded_retry(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         db, log = make_logged_db(tmp_path, io=io)
         db.execute("CREATE TABLE t (a INTEGER)")
         io.inject(SITE_LOG_FSYNC, "eio")  # transient: one bad fsync
@@ -347,7 +351,7 @@ class TestDegradedMode:
     def test_persistent_fsync_failure_exhausts_retry_and_degrades(
         self, tmp_path
     ):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         db, log = make_logged_db(tmp_path, io=io)
         db.execute("CREATE TABLE t (a INTEGER)")
         io.inject(SITE_LOG_FSYNC, "eio", persistent=True)
@@ -357,7 +361,7 @@ class TestDegradedMode:
         assert log.fsync_retries == 2  # 3 attempts = 2 retries
 
     def test_batch_mode_defers_fsync_failure_to_batch_boundary(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         db, _log = make_logged_db(
             tmp_path, io=io, sync="batch", batch_interval=3
         )
@@ -372,7 +376,7 @@ class TestDegradedMode:
         assert db.health.state == DEGRADED
 
     def test_failed_transaction_commit_not_reappended(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         db, log = make_logged_db(tmp_path, io=io)
         db.execute("CREATE TABLE t (a INTEGER)")
         io.inject(SITE_LOG_WRITE, "eio")
@@ -423,7 +427,7 @@ class TestSnapshotAtomicity:
         save_snapshot(db, str(path))
         before = path.read_text()
         db.execute("INSERT INTO t VALUES (3, 'three')")
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         io.inject(SITE_SNAPSHOT_RENAME, "eio")
         with pytest.raises(OSError):
             save_snapshot(db, str(path), io=io)
@@ -436,7 +440,7 @@ class TestSnapshotAtomicity:
     def test_torn_snapshot_write_leaves_no_valid_snapshot(self, tmp_path):
         db = self.build()
         path = tmp_path / "snap.json"
-        io = FaultyIO(seed=3)
+        io = FaultInjector(seed=3)
         io.inject(SITE_SNAPSHOT_WRITE, "torn")
         with pytest.raises(SimulatedCrash):
             save_snapshot(db, str(path), io=io)
@@ -510,7 +514,7 @@ class TestSupervisor:
     def test_crash_between_snapshot_and_truncate_is_not_double_applied(
         self, tmp_path
     ):
-        io = FaultyIO(seed=5)
+        io = FaultInjector(seed=5)
         supervisor, db = self.boot(tmp_path, io=io)
         db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR)")
         self.seed_rows(db, count=4)
@@ -528,7 +532,7 @@ class TestSupervisor:
         restarted.stop()
 
     def test_failed_checkpoint_keeps_log_intact(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         supervisor, db = self.boot(tmp_path, io=io)
         db.execute("CREATE TABLE t (a INTEGER PRIMARY KEY, b VARCHAR)")
         self.seed_rows(db, count=3)
@@ -544,7 +548,7 @@ class TestSupervisor:
         restarted.stop()
 
     def test_probe_driven_self_heal(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         supervisor, db = self.boot(
             tmp_path, io=io, heal_after_probes=2,
             fsync_retry=fast_retry(max_attempts=3),
@@ -570,7 +574,7 @@ class TestSupervisor:
         restarted.stop()
 
     def test_probe_failure_resets_consecutive_count(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         supervisor, db = self.boot(tmp_path, io=io, heal_after_probes=2)
         db.health.mark_degraded("test")
         assert supervisor.probe()
@@ -581,7 +585,7 @@ class TestSupervisor:
         supervisor.stop()
 
     def test_heal_breaker_stops_thrashing(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         clock = {"now": 0.0}
         breaker = CircuitBreaker(
             failure_threshold=2, cooldown=60.0, clock=lambda: clock["now"]
@@ -678,7 +682,7 @@ class TestWireHealth:
             assert fresh.health()["state"] == "degraded"
 
     def test_durability_error_has_stable_code(self, tmp_path):
-        io = FaultyIO(seed=1)
+        io = FaultInjector(seed=1)
         db, _log = make_logged_db(tmp_path, io=io)
         server = Server(db).start()
         try:
