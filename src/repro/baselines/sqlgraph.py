@@ -24,15 +24,6 @@ from ..core.database import Database
 from ..errors import ExecutionError
 
 
-class BudgetExceeded(ExecutionError):
-    """Raised when a guarded query touches more rows than its budget.
-
-    Models the paper's observation that SQLGraph's intermediate join
-    results can exceed the memory VoltDB allows (Twitter graph,
-    Figure 7d): the benchmark harness reports such runs as DNF.
-    """
-
-
 class SqlGraphStore:
     """A graph encoded relationally, queried via self-joins."""
 

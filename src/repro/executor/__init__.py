@@ -17,7 +17,7 @@ from .operators import (
     DistinctOp,
     SingleRowOp,
 )
-from .joins import NestedLoopJoinOp, HashJoinOp, ProbeJoinOp
+from .joins import NestedLoopJoinOp, HashJoinOp
 from .aggregates import AggregateOp, SortOp
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "SingleRowOp",
     "NestedLoopJoinOp",
     "HashJoinOp",
-    "ProbeJoinOp",
     "AggregateOp",
     "SortOp",
 ]

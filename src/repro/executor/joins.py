@@ -1,15 +1,14 @@
 """Join operators.
 
 Combined rows are slot-disjoint between the two sides of a join, so
-merging is a per-slot coalesce. :class:`ProbeJoinOp` is the engine's
-index-nested-loop shape: the inner side is a *factory* re-instantiated
-per outer row — this is also how a relational outer feeds start vertexes
-into a PathScan (Figure 6 of the paper).
+merging is a per-slot coalesce. A relational outer that feeds start
+vertexes into a PathScan (Figure 6 of the paper) is not a join here: it
+is the outer child of :class:`~repro.graph.operators.PathScanOp`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..ambient import current_token
 from ..expr.compile import CompiledExpression
@@ -119,43 +118,3 @@ class HashJoinOp(Operator):
 
     def children(self) -> Sequence[Operator]:
         return (self.left, self.right)
-
-
-class ProbeJoinOp(Operator):
-    """Correlated join: re-instantiate the inner side per outer row.
-
-    ``inner_factory(outer_row)`` returns an iterator of inner combined
-    rows already merged-ready (slot-disjoint from the outer). This is
-    the shape used for index-nested-loop joins and for probing
-    PathScan with start vertexes produced by relational operators
-    (Section 5.1.2 / Figure 6 of the paper).
-    """
-
-    def __init__(
-        self,
-        outer: Operator,
-        inner_factory: Callable[[Row], Iterator[Row]],
-        label: str = "ProbeJoin",
-        residual: Optional[CompiledExpression] = None,
-    ):
-        self.outer = outer
-        self.inner_factory = inner_factory
-        self.label = label
-        self.residual = residual
-
-    def _rows(self) -> Iterator[Row]:
-        residual = self.residual.fn if self.residual is not None else None
-        token = current_token()
-        for outer in self.outer:
-            for inner in self.inner_factory(outer):
-                if token is not None:
-                    token.tick()
-                merged = merge_rows(outer, inner)
-                if residual is None or residual(merged) is True:
-                    yield merged
-
-    def describe(self) -> str:
-        return self.label
-
-    def children(self) -> Sequence[Operator]:
-        return (self.outer,)

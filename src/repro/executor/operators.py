@@ -16,7 +16,7 @@ for per-operator metering only while it runs.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Iterable, Iterator, List, Optional, Sequence
 
 from ..ambient import current_token, current_tracer
 from ..expr.compile import CompiledExpression
@@ -370,17 +370,3 @@ class DerivedTableOp(Operator):
 
     def children(self) -> Sequence["Operator"]:
         return (self.subplan,)
-
-
-class CallbackScanOp(Operator):
-    """Adapter turning any row-producing callable into an operator."""
-
-    def __init__(self, factory: Callable[[], Iterator[Row]], label: str = "Callback"):
-        self.factory = factory
-        self.label = label
-
-    def _rows(self) -> Iterator[Row]:
-        return self.factory()
-
-    def describe(self) -> str:
-        return self.label

@@ -45,26 +45,14 @@ Evaluator = Callable[[Row], Any]
 
 
 class CompiledExpression:
-    """An executable expression plus resolution metadata.
+    """An executable expression plus resolution metadata."""
 
-    ``has_parameters`` marks expressions containing ``?`` placeholders:
-    their value may change between executions of a prepared plan, so the
-    planner must never fold them at plan time.
-    """
+    __slots__ = ("fn", "slots", "aliases")
 
-    __slots__ = ("fn", "slots", "aliases", "has_parameters")
-
-    def __init__(
-        self,
-        fn: Evaluator,
-        slots: Set[int],
-        aliases: Set[str],
-        has_parameters: bool = False,
-    ):
+    def __init__(self, fn: Evaluator, slots: Set[int], aliases: Set[str]):
         self.fn = fn
         self.slots = slots
         self.aliases = aliases
-        self.has_parameters = has_parameters
 
     def __call__(self, row: Row) -> Any:
         return self.fn(row)
@@ -189,18 +177,12 @@ class ExpressionCompiler:
         # pushed-down traversal filters; the compiler also adds its own
         # entries transiently while expanding quantified range predicates.
         self._overrides: Dict[int, Evaluator] = dict(overrides or {})
-        self._has_parameters = False
 
     # ------------------------------ api -------------------------------
 
     def compile(self, node: ast.Expression) -> CompiledExpression:
         fn = self._compile(node)
-        return CompiledExpression(
-            fn,
-            set(self._slots),
-            set(self._aliases),
-            has_parameters=self._has_parameters,
-        )
+        return CompiledExpression(fn, set(self._slots), set(self._aliases))
 
     # --------------------------- dispatch -----------------------------
 
@@ -209,7 +191,6 @@ class ExpressionCompiler:
             value = node.value
             return lambda row: value
         if isinstance(node, ast.Parameter):
-            self._has_parameters = True
             return lambda row: node.value
         if isinstance(node, ast.Identifier):
             return self._lower_reference(self.scope.resolve_identifier(node.name))

@@ -208,10 +208,6 @@ class Scope:
     def binding(self, alias: str) -> Optional[Binding]:
         return self._by_alias.get(alias.lower())
 
-    def sub_scope(self, aliases: Sequence[str]) -> "Scope":
-        """A scope restricted to ``aliases`` (same slots)."""
-        return Scope([self._by_alias[a.lower()] for a in aliases])
-
     # ------------------------------------------------------------------
     # resolution
     # ------------------------------------------------------------------

@@ -217,9 +217,6 @@ class GraphView:
             self.edge_schema.position_of(name)
         ]
 
-    def vertex_row(self, vertex: Vertex) -> Tuple[Any, ...]:
-        return vertex.tuple_pointer.dereference()
-
     def edge_row(self, edge: Edge) -> Tuple[Any, ...]:
         return edge.tuple_pointer.dereference()
 

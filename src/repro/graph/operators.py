@@ -1,10 +1,10 @@
 """Graph operators for the query execution pipeline (Section 5.1).
 
-``VertexScanOp`` / ``EdgeScanOp`` iterate a graph view's elements;
-``PathScanSourceOp`` runs a traversal from statically-known start
-vertexes; ``make_path_probe_factory`` builds the correlated form where a
-relational outer feeds start (and optionally target) vertexes into the
-traversal — the plan shape of Figure 6 in the paper.
+``VertexScanOp`` / ``EdgeScanOp`` iterate a graph view's elements and
+the lookup operators find one by identifier. ``PathScanOp`` runs a
+traversal; given a relational ``outer`` child that feeds it start (and
+optionally end) vertexes it is the correlated plan shape of Figure 6 in
+the paper, and EXPLAIN names it ``PathScanProbe``.
 
 All of them emit combined rows with a Vertex / Edge / Path object in the
 operator's slot, so relational operators up the pipeline consume graph
@@ -13,11 +13,11 @@ results through the same tuple interface (Section 5.2).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from ..ambient import current_token, current_tracer
-from ..errors import PlanningError
 from ..executor.operators import Operator, Row
+from ..expr.compile import CompiledExpression
 from .graph_view import GraphView
 from .traversal import (
     TraversalSpec,
@@ -54,19 +54,20 @@ class VertexLookupOp(Operator):
     """O(1) vertex access by identifier through the topology hash map.
 
     This is the paper's Section-3.2 guarantee made visible in plans:
-    ``VS.Id = <expr>`` never scans. ``key`` is a constant or a
-    zero-argument callable (deferred for prepared statements).
+    ``VS.Id = <expr>`` never scans. ``key`` is a zero-argument callable,
+    evaluated per iteration so that a rebound ``?`` is seen.
     """
 
-    def __init__(self, view: GraphView, key: Any, slot: int, width: int):
+    def __init__(
+        self, view: GraphView, key: Callable[[], Any], slot: int, width: int
+    ):
         self.view = view
         self.key = key
         self.slot = slot
         self.width = width
 
     def _rows(self) -> Iterator[Row]:
-        key = self.key() if callable(self.key) else self.key
-        vertex = self.view.find_vertex(key)
+        vertex = self.view.find_vertex(self.key())
         if vertex is not None:
             row: Row = [None] * self.width
             row[self.slot] = vertex
@@ -79,15 +80,16 @@ class VertexLookupOp(Operator):
 class EdgeLookupOp(Operator):
     """O(1) edge access by identifier through the topology hash map."""
 
-    def __init__(self, view: GraphView, key: Any, slot: int, width: int):
+    def __init__(
+        self, view: GraphView, key: Callable[[], Any], slot: int, width: int
+    ):
         self.view = view
         self.key = key
         self.slot = slot
         self.width = width
 
     def _rows(self) -> Iterator[Row]:
-        key = self.key() if callable(self.key) else self.key
-        edge = self.view.topology.edges.get(key)
+        edge = self.view.topology.edges.get(self.key())
         if edge is not None:
             row: Row = [None] * self.width
             row[self.slot] = edge
@@ -119,51 +121,23 @@ class EdgeScanOp(Operator):
         return f"EdgeScan({self.view.name})"
 
 
-def _path_rows(
-    view: GraphView,
-    slot: int,
-    width: int,
-    mode: str,
-    start_ids: Optional[Iterable[Any]],
-    spec: TraversalSpec,
-    weight_of: Optional[Callable],
-    max_paths_per_vertex: int,
-    span_key: Any,
-    label: str,
-) -> Iterator[Row]:
-    """Run the physical scan the optimizer selected, one combined row per
-    path. With a tracer active the scan's counters fold into
-    ``span_key``'s span — also when the consumer stops early (LIMIT) or a
-    budget aborts the scan."""
-    tracer = current_tracer()
-    stats = TraversalStats() if tracer is not None else None
-    if mode == "SP":
-        if weight_of is None:
-            raise PlanningError("SPScan requires a weight attribute")
-        paths = shortest_paths(
-            view, start_ids, spec, weight_of, max_paths_per_vertex, stats
-        )
-    elif mode in ("DFS", "BFS"):
-        scan = dfs_paths if mode == "DFS" else bfs_paths
-        paths = scan(view, start_ids, spec, stats)
-    else:
-        raise PlanningError(f"unknown traversal mode: {mode}")
-    try:
-        for path in paths:
-            row: Row = [None] * width
-            row[slot] = path
-            yield row
-    finally:
-        if tracer is not None:
-            paths.close()  # a scan folds its last counters in when closed
-            tracer.record_traversal(span_key, label, mode, stats)
+class PathScanOp(Operator):
+    """PathScan (Section 5.1.2): a lazy traversal, one combined row per path.
 
+    ``start`` and ``target`` are the compiled start / end vertex id
+    bindings; either may be absent (every vertex starts, the end is
+    free). Without an ``outer`` they are evaluated against one empty row
+    per iteration, so a literal and a rebound ``?`` take the same code.
+    With an ``outer`` — a relational plan whose rows bind them, the
+    Figure-6 shape — one traversal runs per outer row and each path is
+    merged into that row. A NULL start or end matches no vertex (SQL
+    comparison with NULL), so that traversal yields nothing.
 
-class PathScanSourceOp(Operator):
-    """Uncorrelated PathScan: start vertexes are constants (or all).
-
-    ``spec_factory`` builds a fresh :class:`TraversalSpec` per iteration
-    so that mutable per-run state never leaks between executions.
+    ``build_spec(target)`` builds a fresh :class:`TraversalSpec` per
+    traversal so that mutable per-run state never leaks between runs.
+    With a tracer active each traversal's counters fold into this
+    operator's span — also when the consumer stops early (LIMIT) or a
+    budget aborts the scan.
     """
 
     def __init__(
@@ -172,75 +146,66 @@ class PathScanSourceOp(Operator):
         slot: int,
         width: int,
         mode: str,
-        spec_factory: Callable[[], TraversalSpec],
-        start_ids: Optional[Sequence[Any]] = None,
+        build_spec: Callable[[Any], TraversalSpec],
+        start: Optional[CompiledExpression] = None,
+        target: Optional[CompiledExpression] = None,
         weight_of: Optional[Callable] = None,
         max_paths_per_vertex: int = 1,
+        outer: Optional[Operator] = None,
     ):
         self.view = view
         self.slot = slot
         self.width = width
         self.mode = mode
-        self.spec_factory = spec_factory
-        self.start_ids = start_ids
+        self.build_spec = build_spec
+        self.start = start
+        self.target = target
         self.weight_of = weight_of
         self.max_paths_per_vertex = max_paths_per_vertex
+        self.outer = outer
 
     def _rows(self) -> Iterator[Row]:
-        return _path_rows(
-            self.view,
-            self.slot,
-            self.width,
-            self.mode,
-            self.start_ids,
-            self.spec_factory(),
-            self.weight_of,
-            self.max_paths_per_vertex,
-            self,
-            self.describe(),
-        )
+        if self.outer is None:
+            return self._scan([None] * self.width)
+        return (row for base in self.outer for row in self._scan(base))
+
+    def _scan(self, base: Row) -> Iterator[Row]:
+        start_ids = None
+        if self.start is not None:
+            start_id = self.start.fn(base)
+            if start_id is None:
+                return
+            start_ids = (start_id,)
+        target = None
+        if self.target is not None:
+            target = self.target.fn(base)
+            if target is None:
+                return
+        spec = self.build_spec(target)
+        tracer = current_tracer()
+        stats = TraversalStats() if tracer is not None else None
+        if self.mode == "SP":
+            paths = shortest_paths(
+                self.view, start_ids, spec, self.weight_of,
+                self.max_paths_per_vertex, stats,
+            )
+        else:
+            scan = dfs_paths if self.mode == "DFS" else bfs_paths
+            paths = scan(self.view, start_ids, spec, stats)
+        slot = self.slot
+        try:
+            for path in paths:
+                row = list(base)
+                row[slot] = path
+                yield row
+        finally:
+            if tracer is not None:
+                paths.close()  # a scan folds its last counters in when closed
+                tracer.record_traversal(self, self.mode, stats)
 
     def describe(self) -> str:
-        return f"PathScan({self.view.name}, {self.mode})"
+        kind = "PathScan" if self.outer is None else "PathScanProbe"
+        return f"{kind}({self.view.name}, {self.mode})"
 
-
-def make_path_probe_factory(
-    view: GraphView,
-    slot: int,
-    width: int,
-    mode: str,
-    spec_factory: Callable[[Row], TraversalSpec],
-    start_ids_of: Callable[[Row], Optional[List[Any]]],
-    weight_of: Optional[Callable] = None,
-    max_paths_per_vertex: int = 1,
-) -> Callable[[Row], Iterator[Row]]:
-    """Correlated PathScan for :class:`~repro.executor.joins.ProbeJoinOp`.
-
-    Per outer row, ``start_ids_of`` evaluates the bound start-vertex
-    expression(s) and ``spec_factory`` may bind a target vertex — the
-    optimizer wires these from join predicates like
-    ``PS.StartVertex.Id = U.uId`` (Listing 2). One traversal runs per
-    outer row; the tracer aggregates their counters under this factory,
-    and the annotator folds them into the enclosing ProbeJoin plan node.
-    """
-
-    probe_label = f"PathScanProbe({view.name}, {mode})"
-
-    def factory(outer_row: Row) -> Iterator[Row]:
-        start_ids = start_ids_of(outer_row)
-        if start_ids is not None and any(s is None for s in start_ids):
-            return iter(())
-        return _path_rows(
-            view,
-            slot,
-            width,
-            mode,
-            start_ids,
-            spec_factory(outer_row),
-            weight_of,
-            max_paths_per_vertex,
-            factory,
-            probe_label,
-        )
-
-    return factory
+    def children(self) -> Sequence[Operator]:
+        return () if self.outer is None else (self.outer,)

@@ -21,10 +21,9 @@ vertices/edges visited, paths emitted) through
 :meth:`QueryTracer.record_traversal`, and a budget abort records its
 cause through :meth:`QueryTracer.record_abort`.
 
-Spans are keyed by object identity — operators for plan nodes, and the
-correlated path-probe factory for the traversal that runs inside a
-``ProbeJoinOp`` (the Figure-6 plan shape, where the scan itself is not a
-plan node).
+Spans are keyed by operator identity. A PathScan folds its traversal
+counters into its own span — one traversal per outer row for the
+correlated ``PathScanProbe`` of Figure 6, aggregated with ``scans=N``.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
 class OperatorSpan:
-    """Actual execution statistics for one plan node (or probe scan)."""
+    """Actual execution statistics for one plan node."""
 
     __slots__ = (
         "label",
@@ -138,15 +137,13 @@ class QueryTracer:
             span.rows_out += 1
             yield row
 
-    def record_traversal(
-        self, key: Any, label: str, mode: str, stats: Any
-    ) -> None:
-        """Fold one :class:`TraversalStats` into ``key``'s span.
+    def record_traversal(self, operator: Any, mode: str, stats: Any) -> None:
+        """Fold one :class:`TraversalStats` into ``operator``'s span.
 
         Called once per traversal run — a correlated probe contributes
-        one call per outer row, aggregated under the factory's span.
+        one call per outer row, aggregated under its operator's span.
         """
-        span = self.span_for(key, label)
+        span = self.span_for(operator, operator.describe())
         aggregate = span.traversal
         if aggregate is None:
             aggregate = {
@@ -175,24 +172,16 @@ class QueryTracer:
         """Render an operator tree with per-node actual statistics.
 
         Mirrors :meth:`Operator.explain`, appending each node's span (or
-        ``(never executed)`` for nodes the execution never reached). For
-        probe joins, the correlated traversal's span — keyed by the
-        operator's ``inner_factory`` — is folded into the node's line.
+        ``(never executed)`` for nodes the execution never reached) and,
+        for a path scan, its ``[traversal ...]`` summary.
         """
         pad = "  " * indent
         span = self.get(root)
         line = f"{pad}{root.describe()} "
         line += span.actuals() if span is not None else "(never executed)"
-        extras: List[str] = []
-        if span is not None and span.traversal_summary():
-            extras.append(span.traversal_summary())
-        inner_factory = getattr(root, "inner_factory", None)
-        if inner_factory is not None:
-            probe_span = self.get(inner_factory)
-            if probe_span is not None and probe_span.traversal_summary():
-                extras.append(probe_span.traversal_summary())
-        for extra in extras:
-            line += f" {extra}"
+        summary = span.traversal_summary() if span is not None else None
+        if summary is not None:
+            line += f" {summary}"
         lines = [line]
         for child in root.children():
             lines.append(self.annotate(child, indent + 1))

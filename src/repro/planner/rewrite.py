@@ -139,15 +139,6 @@ def _children_of(node: ast.Expression) -> List[ast.Expression]:
     return []
 
 
-def contains_identifier(node: ast.Expression) -> bool:
-    """Whether any column/alias reference survives in the expression —
-    used to validate select items against the GROUP BY clause."""
-    for sub in ast.walk_expression(node):
-        if isinstance(sub, (ast.Identifier, ast.FieldAccess, ast.Star)):
-            return True
-    return False
-
-
 def rewrite_select(select: ast.Select, replacer: Replacer) -> ast.Select:
     """Rebuild a SELECT applying ``replacer`` to every *top-level*
     expression position (select items, WHERE, GROUP BY, HAVING, ORDER

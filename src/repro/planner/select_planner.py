@@ -19,7 +19,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ExecutionError, PlanningError
 from ..executor.aggregates import AggregateOp, AggregateSpec, SortOp
-from ..executor.joins import HashJoinOp, NestedLoopJoinOp, ProbeJoinOp
+from ..executor.joins import HashJoinOp, NestedLoopJoinOp
 from ..executor.operators import (
     DerivedTableOp,
     DistinctOp,
@@ -44,10 +44,9 @@ from ..graph.graph_view import GraphView
 from ..graph.operators import (
     EdgeLookupOp,
     EdgeScanOp,
-    PathScanSourceOp,
+    PathScanOp,
     VertexLookupOp,
     VertexScanOp,
-    make_path_probe_factory,
 )
 from ..graph.traversal import TraversalSpec, choose_traversal
 from ..sql import ast
@@ -612,11 +611,7 @@ class SelectPlanner:
                 compiled = ExpressionCompiler(scope).compile(match[1])
                 if compiled.aliases:
                     continue
-                empty_row = [None] * width
-
-                def key_fn(_c=compiled, _row=empty_row):
-                    return _c.fn(_row)
-
+                key_fn = functools.partial(compiled.fn, [None] * width)
                 if isinstance(binding, VertexBinding):
                     scan = VertexLookupOp(binding.view, key_fn, slot, width)
                 else:
@@ -845,35 +840,21 @@ class SelectPlanner:
         )
 
         # ---- bindings --------------------------------------------------
-        # An endpoint binding is "correlated" when it must be evaluated
-        # per execution: it references other aliases, or contains ``?``
-        # parameters of a prepared statement (re-bound between runs).
-        start_compiled = (
+        # An endpoint binding is correlated when it references another
+        # alias: the relational plan built so far feeds it (Figure 6).
+        # Literals and ``?`` parameters are evaluated per iteration.
+        start = (
             ExpressionCompiler(scope).compile(plan.start_expr)
             if plan.start_expr is not None
             else None
         )
-        target_compiled = (
+        target = (
             ExpressionCompiler(scope).compile(plan.target_expr)
             if plan.target_expr is not None
             else None
         )
-        start_correlated = start_compiled is not None and (
-            bool(start_compiled.aliases) or start_compiled.has_parameters
-        )
-        target_correlated = target_compiled is not None and (
-            bool(target_compiled.aliases) or target_compiled.has_parameters
-        )
-        constant_row = [None] * width
-        constant_start = (
-            [start_compiled.fn(constant_row)]
-            if start_compiled is not None and not start_correlated
-            else None
-        )
-        constant_target = (
-            target_compiled.fn(constant_row)
-            if target_compiled is not None and not target_correlated
-            else None
+        correlated = any(
+            bound is not None and bound.aliases for bound in (start, target)
         )
 
         # ---- physical operator selection (Section 6.3) ----------------
@@ -895,54 +876,22 @@ class SelectPlanner:
                 target_is_start=plan.cycle_constraint,
             )
 
-        correlated = start_correlated or target_correlated
-        if correlated and current is None:
-            # parameterized paths-only query: probe off a single empty row
-            current = SingleRowOp(width)
-
-        if correlated:
-            def start_ids_of(outer_row):
-                if start_compiled is None:
-                    return constant_start  # may be None (all vertices)
-                if start_correlated:
-                    return [start_compiled.fn(outer_row)]
-                return constant_start
-
-            def spec_factory(outer_row):
-                if target_compiled is None:
-                    return build_spec(None)
-                if target_correlated:
-                    return build_spec(target_compiled.fn(outer_row))
-                return build_spec(constant_target)
-
-            factory = make_path_probe_factory(
-                view,
-                binding.slot,
-                width,
-                mode,
-                spec_factory,
-                start_ids_of,
-                weight_of=weight_of,
-                max_paths_per_vertex=per_vertex,
-            )
-            current = ProbeJoinOp(
-                current, factory, label=f"PathScanProbe({view.name}, {mode})"
-            )
+        scan = PathScanOp(
+            view,
+            binding.slot,
+            width,
+            mode,
+            build_spec,
+            start,
+            target,
+            weight_of=weight_of,
+            max_paths_per_vertex=per_vertex,
+            outer=current if correlated else None,
+        )
+        if correlated or current is None:
+            current = scan
         else:
-            source = PathScanSourceOp(
-                view,
-                binding.slot,
-                width,
-                mode,
-                lambda: build_spec(constant_target),
-                start_ids=constant_start,
-                weight_of=weight_of,
-                max_paths_per_vertex=per_vertex,
-            )
-            if current is None:
-                current = source
-            else:
-                current = NestedLoopJoinOp(current, source, None)
+            current = NestedLoopJoinOp(current, scan, None)
 
         if plan.join_residual_conjuncts:
             current = FilterOp(

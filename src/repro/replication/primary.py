@@ -139,9 +139,6 @@ class Primary:
         self.links[name] = link
         return link
 
-    def detach_replica(self, name: str) -> None:
-        self.links.pop(name, None)
-
     def bootstrap_document(self) -> dict:
         """A snapshot of the current state, stamped with the log
         position it corresponds to — everything a replica needs to
@@ -318,14 +315,6 @@ class Primary:
             link.outbound.send(message)
 
     # ------------------------------------------------------------------
-
-    def replication_lag(self) -> Dict[str, int]:
-        """Per-replica lag in log records (0 = fully caught up)."""
-        head = self.log.last_sequence
-        return {
-            name: head - link.acked_sequence
-            for name, link in self.links.items()
-        }
 
     def restart(self) -> None:
         """Simulate the process coming back after a crash.

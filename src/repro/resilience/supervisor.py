@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import pathlib
 import threading
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from ..core.command_log import CommandLog, enable_command_log
 from ..core.database import Database
@@ -431,17 +431,3 @@ class Supervisor:
     def __repr__(self) -> str:
         state = self.database.health.state if self.database else "not_started"
         return f"Supervisor({self.data_dir}, {state}, e{self.epoch})"
-
-
-def run_supervised(
-    data_dir: str,
-    sync: str = "commit",
-    setup: Optional[Callable[[Database], None]] = None,
-) -> Supervisor:
-    """Convenience: start a supervisor over ``data_dir`` and return it
-    (``supervisor.database`` is the recovered engine)."""
-    supervisor = Supervisor(data_dir, sync=sync)
-    database = supervisor.start()
-    if setup is not None:
-        setup(database)
-    return supervisor

@@ -92,11 +92,6 @@ class ReadWriteLock:
 
     # -- introspection --------------------------------------------------
 
-    @property
-    def active_readers(self) -> int:
-        with self._cond:
-            return self._readers
-
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until no reader or writer holds the lock."""
         with self._cond:

@@ -64,25 +64,10 @@ class SqlType(Enum):
     def is_numeric(self) -> bool:
         return self in _NUMERIC_TYPES
 
-    @property
-    def python_type(self) -> type:
-        return _PYTHON_TYPES[self]
-
 
 _NUMERIC_TYPES = frozenset(
     {SqlType.INTEGER, SqlType.BIGINT, SqlType.FLOAT, SqlType.DECIMAL}
 )
-
-_PYTHON_TYPES = {
-    SqlType.INTEGER: int,
-    SqlType.BIGINT: int,
-    SqlType.FLOAT: float,
-    SqlType.DECIMAL: float,
-    SqlType.VARCHAR: str,
-    SqlType.BOOLEAN: bool,
-    SqlType.TIMESTAMP: int,
-    SqlType.ANY: object,
-}
 
 _EPOCH = _dt.datetime(1970, 1, 1)
 

@@ -8,7 +8,6 @@ from repro.executor import (
     IndexLookupOp,
     LimitOp,
     NestedLoopJoinOp,
-    ProbeJoinOp,
     ProjectOp,
     SeqScanOp,
     SingleRowOp,
@@ -210,18 +209,6 @@ class TestJoins:
             )
         )
         assert len(rows) == 4
-
-    def test_probe_join(self):
-        left, _right = self.sides()
-
-        def factory(outer):
-            count = outer[0][2] or 0
-            for i in range(count // 10):
-                inner = [None, ("probe", i)]
-                yield inner
-
-        rows = list(ProbeJoinOp(left, factory))
-        assert len(rows) == 1 + 2 + 3 + 0
 
 
 class TestAggregateAndSort:
