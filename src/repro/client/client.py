@@ -21,16 +21,39 @@ carrying the **stable** wire code (``error.code == "TIMEOUT"``,
 ``"OVERLOADED"``, ``"READ_ONLY"``...); transport failures surface as
 :class:`~repro.errors.ClientConnectionError`.
 
-Reconnect policy (``reconnect=True``): when the connection drops the
-client transparently redials — under the shared
-:class:`~repro.resilience.retry.RetryPolicy`, so repeated dials back
-off with jitter instead of hammering a restarting server — and retries
-the request, but only when it is safe to repeat (SELECT / EXPLAIN
-statements, PING, METRICS, SET_BUDGET). A write whose frame may have
-reached the server is *never* retried: its outcome is unknown, and
-retrying could apply it twice; the caller gets
-:class:`ClientConnectionError` and decides. Prepared statements are
-re-prepared automatically after a reconnect.
+Retry ladder: a request is one loop of attempts under the client's
+:class:`~repro.resilience.retry.RetryPolicy`. An attempt takes the
+request lock, dials when there is no connection, exchanges frames and
+releases the lock. A failed attempt is classified once:
+
+==================  ===========================================  ==========
+failure             retried when, and how                        backs off
+==================  ===========================================  ==========
+connection error    idempotent request and ``reconnect``: the    yes
+                    connection is dropped and the retry redials
+missed ``timeout``  never: the server is up but slow, and a
+                    re-run would multiply its load
+``NOT_PRIMARY``     ``reconnect``: rejected before execution,    only
+                    so even a write; adopts the ``leader_hint``  without a
+                                                                 hint
+``SHARD_REDIRECT``  ``reconnect``: rejected before execution,    yes
+                    so even a write; the retry redials
+``OVERLOADED``      always: never admitted to the write queue,   yes
+                    so even a write
+anything else       never: raised
+==================  ===========================================  ==========
+
+Idempotent requests are SELECT / EXPLAIN / WITH statements, EXECUTE of
+a prepared statement, and the non-statement messages (PREPARE, PING,
+METRICS, SET_BUDGET, the reports). A write whose frame may have reached
+the server is *never* re-sent: its outcome is unknown, and retrying
+could apply it twice; the caller gets :class:`ClientConnectionError`
+and decides. Every cause draws on the policy's one ``max_attempts``
+budget, and the backoff (jittered, so a fleet of clients does not
+re-dial a restarted server in lockstep) sleeps outside the request lock.
+Each retry lands in ``client.stats`` and the ``repro_client_*``
+counters. The session budget and prepared statements are replayed on
+every new connection.
 
 Cluster awareness (``seeds=[...]``): the client dials the first
 reachable seed, reads the node's ``leader`` hint from ``HELLO_OK``, and
@@ -38,9 +61,9 @@ follows it to the primary (bounded hops). When a statement lands on a
 non-primary node the server answers ``NOT_PRIMARY`` with a
 ``leader_hint`` — **rejected before execution**, so the client follows
 the hint and retries even a write, bounded by the retry policy. A
-failover mid-session is just both policies composing: the dead primary
-drops the connection (reads retry through the seed list, writes raise),
-and the next statement chases ``NOT_PRIMARY`` hints to the new primary.
+failover mid-session is two rungs of the ladder: the dead primary drops
+the connection (reads redial through the seed list, writes raise), and
+the next statement chases ``NOT_PRIMARY`` hints to the new primary.
 
 Replica reads (``read_preference="replica", max_lag=N``): idempotent
 statements are routed to a replica over a second internal connection,
@@ -54,16 +77,9 @@ Distributed tracing: when tracing is enabled (the default), every
 ``QUERY`` / ``PREPARE`` / ``EXECUTE`` frame is stamped with a
 traceparent-style ``trace`` value minted per statement, and the client
 records the root span locally. The stamp is applied *before* the retry
-loops, so a write bounced around by ``NOT_PRIMARY`` or ``OVERLOADED``
+loop, so a write bounced around by ``NOT_PRIMARY`` or ``OVERLOADED``
 keeps one trace_id across every hop — :meth:`Client.traces` (or a
 node's HTTP ``/traces``) then shows the full journey.
-
-Backpressure policy: an ``OVERLOADED`` error means the server's write
-queue was full and the statement was **never admitted** — uniquely
-safe to retry, write or not. The client honors the pushback by backing
-off under the same policy before retrying, a bounded number of times;
-``client.stats`` and the ``repro_client_*`` metrics expose how often
-that happened.
 """
 
 from __future__ import annotations
@@ -135,6 +151,29 @@ def _is_idempotent_sql(sql: str) -> bool:
     return strip_leading_sql_comments(sql).upper().startswith(
         _IDEMPOTENT_PREFIXES
     )
+
+
+#: Retry-ladder verdicts, ``(stats key, repro_client_* counter, back
+#: off?)``: a redial after a dropped connection, and an overload.
+_REDIAL = ("reconnect_attempts", None, True)
+_OVERLOADED = (
+    "overloaded_retries", "repro_client_overload_retries_total", True,
+)
+
+
+def _result_set(frames) -> ResultSet:
+    columns: List[str] = []
+    rows: List[Tuple] = []
+    rowcount = 0
+    for frame in frames:
+        kind = frame["type"]
+        if kind == "RESULT_HEAD":
+            columns = frame.get("columns", [])
+        elif kind == "ROWS":
+            rows.extend(tuple(row) for row in frame.get("rows", []))
+        elif kind == "RESULT_END":
+            rowcount = frame.get("rowcount", 0)
+    return ResultSet(columns or None, rows, rowcount=rowcount)
 
 
 AddressSpec = Union[str, Tuple[str, int], List]
@@ -223,7 +262,7 @@ class Client:
         self.timeout = timeout
         self.connect_timeout = connect_timeout
         self.reconnect = reconnect
-        #: Shared backoff for redials, OVERLOADED and NOT_PRIMARY retries.
+        #: The one retry ladder's backoff and ``max_attempts`` budget.
         self.retry_policy = retry_policy or default_client_retry()
         self.read_preference = read_preference
         self.max_lag = max_lag
@@ -489,7 +528,8 @@ class Client:
                 f"read_preference must be one of {_READ_PREFERENCES}, "
                 f"got {preference!r}"
             )
-        idempotent = _is_idempotent_sql(sql)
+        statement = strip_leading_sql_comments(sql)
+        idempotent = statement.upper().startswith(_IDEMPOTENT_PREFIXES)
         if preference == "replica" and idempotent:
             result = self._replica_read(sql, budget)
             if result is not None:
@@ -497,17 +537,17 @@ class Client:
         message: Dict[str, Any] = {"type": "QUERY", "sql": sql}
         if budget is not None:
             message["budget"] = budget
-        return self._traced(
-            self._collect_result, message, self.reconnect and idempotent,
-            "client.execute", sql=strip_leading_sql_comments(sql)[:80],
-        )
+        return _result_set(self._traced(
+            message, idempotent, "RESULT_END",
+            "client.execute", sql=statement[:80],
+        ))
 
     def prepare(self, sql: str) -> Prepared:
         message: Dict[str, Any] = {"type": "PREPARE", "sql": sql}
         reply = self._traced(
-            self._request, message, self.reconnect,
+            message, True, None,
             "client.prepare", sql=strip_leading_sql_comments(sql)[:80],
-        )
+        )[0]
         prepared = Prepared(
             self, sql, reply["statement"],
             reply.get("params", 0), reply.get("columns", []),
@@ -524,62 +564,56 @@ class Client:
         if budget is not None:
             message["budget"] = budget
         # prepared statements are SELECT-only, hence always retryable
-        return self._traced(
-            self._collect_result, message, self.reconnect,
+        return _result_set(self._traced(
+            message, True, "RESULT_END",
             "client.execute", statement=prepared.handle,
-        )
+        ))
 
-    def _traced(self, send, message: Dict[str, Any], retry: bool,
-                name: str, **attrs):
-        """``send(message, retry)`` — one request — inside its client
-        span, whose context is stamped on ``message``.
+    def _traced(self, message: Dict[str, Any], idempotent: bool,
+                until: Optional[str], name: str, **attrs):
+        """One request's frames, inside its client span, whose context
+        is stamped on ``message``.
 
         Inside a trace (a router's hop to its shards) the span is a
         child of the ambient context, so every hop shares the
-        statement's trace_id; otherwise this is where a trace starts,
-        its sampling decision rolled here and nowhere else. The stamp
-        goes on *before* the retry loops, so an OVERLOADED backoff or a
-        NOT_PRIMARY leader chase re-sends the same ``trace`` value —
-        the whole journey shares one trace_id. With tracing disabled
-        nothing is minted, stamped or recorded.
+        statement's trace_id; otherwise this is where a trace starts.
+        The stamp goes on *before* the retry loop, so an OVERLOADED
+        backoff or a NOT_PRIMARY leader chase re-sends the same
+        ``trace`` value — the whole journey shares one trace_id. With
+        tracing disabled nothing is minted, stamped or recorded.
         """
-        collector = observability_tracing.recording_collector()
-        if collector is None:
-            return send(message, retry)
+        if not observability_tracing.tracing_enabled():
+            return self._roundtrip(message, idempotent, until)
         if ambient.current_trace() is None:
-            opened = observability_tracing.span.root(
-                name, collector.sample(), **attrs
-            )
+            opened = observability_tracing.span.root(name, **attrs)
         else:
             opened = observability_tracing.span(name, **attrs)
         with opened:
             if opened.context is not None:
                 message["trace"] = opened.context.to_wire()
-            return send(message, retry)
+            return self._roundtrip(message, idempotent, until)
 
     def set_budget(self, budget: Optional[Dict[str, Any]]) -> None:
         """Install (or clear, with None) the session-level budget."""
-        self._request({"type": "SET_BUDGET", "budget": budget},
-                      retry=self.reconnect)
+        self._request({"type": "SET_BUDGET", "budget": budget})
         self._budget = budget
 
     def ping(self) -> bool:
-        return self._request({"type": "PING"},
-                             retry=self.reconnect)["type"] == "PONG"
+        return self._request({"type": "PING"})["type"] == "PONG"
 
     def metrics(self, filter: Optional[str] = None) -> str:
         """The server's metrics in Prometheus text format."""
         message: Dict[str, Any] = {"type": "METRICS"}
         if filter is not None:
             message["filter"] = filter
-        return self._request(message, retry=self.reconnect)["text"]
+        return self._request(message)["text"]
 
     def health(self) -> Dict[str, Any]:
         """The server's HEALTH report: health state, liveness,
         read/write readiness, supervisor counters when a supervisor
         runs the node, and — on a cluster node — the ``replication``
         section (role, epoch, apply lag, leader)."""
-        reply = self._request({"type": "HEALTH"}, retry=self.reconnect)
+        reply = self._request({"type": "HEALTH"})
         return {
             key: value
             for key, value in reply.items()
@@ -601,7 +635,7 @@ class Client:
             message["trace_id"] = trace_id
         if limit is not None:
             message["limit"] = limit
-        return self._request(message, retry=self.reconnect).get("spans", [])
+        return self._request(message).get("spans", [])
 
     def events(
         self,
@@ -616,13 +650,13 @@ class Client:
             message["kind"] = kind
         if limit is not None:
             message["limit"] = limit
-        return self._request(message, retry=self.reconnect).get("events", [])
+        return self._request(message).get("events", [])
 
     def slow_queries(self) -> Dict[str, Any]:
         """The server's slow-query log: ``{node, threshold_ms,
         entries}``, each entry carrying sql, elapsed_ms, session,
         trace_id and node attribution."""
-        reply = self._request({"type": "SLOWLOG"}, retry=self.reconnect)
+        reply = self._request({"type": "SLOWLOG"})
         return {
             key: value
             for key, value in reply.items()
@@ -634,7 +668,7 @@ class Client:
         ``{"sharded": True, "map": ..., "shards": [...], "routing":
         {...}}``; a plain server answers ``{"sharded": False, "shard":
         identity-or-None}``, so probes need no special case."""
-        reply = self._request({"type": "SHARD_STATE"}, retry=self.reconnect)
+        reply = self._request({"type": "SHARD_STATE"})
         return {
             key: value
             for key, value in reply.items()
@@ -645,9 +679,7 @@ class Client:
         """The node's CLUSTER_STATE report: its role, epoch, log
         position, lag, believed leader, and last known peer states
         (standalone servers answer with role and no topology)."""
-        reply = self._request(
-            {"type": "CLUSTER_STATE"}, retry=self.reconnect
-        )
+        reply = self._request({"type": "CLUSTER_STATE"})
         return {
             key: value
             for key, value in reply.items()
@@ -743,119 +775,95 @@ class Client:
     # request plumbing
     # ------------------------------------------------------------------
 
-    def _collect_result(self, message, retry: bool) -> ResultSet:
-        frames = self._roundtrip(message, retry=retry, until="RESULT_END")
-        columns: List[str] = []
-        rows: List[Tuple] = []
-        rowcount = 0
-        for frame in frames:
-            kind = frame["type"]
-            if kind == "RESULT_HEAD":
-                columns = frame.get("columns", [])
-            elif kind == "ROWS":
-                rows.extend(tuple(row) for row in frame.get("rows", []))
-            elif kind == "RESULT_END":
-                rowcount = frame.get("rowcount", 0)
-        return ResultSet(columns or None, rows, rowcount=rowcount)
+    def _request(self, message) -> Dict[str, Any]:
+        """One idempotent request expecting exactly one reply frame."""
+        return self._roundtrip(message, True, None)[0]
 
-    def _request(self, message, retry: bool) -> Dict[str, Any]:
-        """One request expecting exactly one reply frame."""
-        return self._roundtrip(message, retry=retry, until=None)[0]
-
-    def _roundtrip(self, message, retry: bool, until: Optional[str]):
-        """One request with the backpressure and redirect loops around it.
-
-        OVERLOADED means the statement was never admitted to the write
-        queue, so retrying can never double-apply — and NOT_PRIMARY
-        means it was rejected before execution on a node that is not
-        the leader, so following the ``leader_hint`` and retrying is
-        equally safe, *even for writes*. Both backoffs happen outside
-        the request lock: sleeping while holding it would stall every
-        other thread sharing this client.
-        """
+    def _roundtrip(self, message, idempotent: bool, until: Optional[str]):
+        """One request under the retry ladder (see the module
+        docstring): attempt, classify a failure, back off outside the
+        request lock, attempt again, every cause drawing on the policy's
+        one ``max_attempts`` budget."""
+        policy = self.retry_policy
         attempt = 0
+        redial = False
         while True:
             attempt += 1
             try:
-                return self._roundtrip_transport(message, retry, until)
-            except RemoteError as error:
-                policy = self.retry_policy
-                give_up = (
+                return self._attempt(message, redial, until)
+            except (ClientConnectionError, RemoteError) as error:
+                retry = self._classify(error, idempotent)
+                if retry is None:
+                    raise
+                if (
                     policy.max_attempts is not None
                     and attempt >= policy.max_attempts
-                )
-                if error.code == "NOT_PRIMARY" and self.reconnect:
-                    if give_up:
-                        raise
-                    hint = self._hint_address(error.leader_hint)
-                    with self._lock:
-                        if hint is not None:
-                            self._leader = hint
-                        self._drop_connection()
-                    self.stats["leader_redirects"] += 1
-                    self._count("repro_client_leader_redirects_total")
-                    if hint is None:
-                        # mid-election: nobody knows the leader yet;
-                        # back off and rediscover through the seeds
-                        policy.sleep(policy.delay(attempt))
-                    continue
-                if error.code == "SHARD_REDIRECT" and self.reconnect:
-                    # rejected before execution by a shard that does not
-                    # own the key: safe to retry (even writes), and the
-                    # redial re-reads HELLO/seeds, so a router in front
-                    # of the shards picks the statement up correctly
-                    if give_up:
-                        raise
-                    with self._lock:
-                        self._drop_connection()
-                    self.stats["shard_redirects"] += 1
-                    self._count("repro_client_shard_redirects_total")
+                ):
+                    if retry is _OVERLOADED:
+                        self.stats["overloaded_gave_up"] += 1
+                        self._count("repro_client_overload_giveups_total")
+                    raise
+                stat, counter, back_off = retry
+                self.stats[stat] += 1
+                if counter is not None:
+                    self._count(counter)
+                redial = retry is _REDIAL
+                if back_off:
                     policy.sleep(policy.delay(attempt))
-                    continue
-                if error.code != "OVERLOADED":
-                    raise
-                if give_up:
-                    self.stats["overloaded_gave_up"] += 1
-                    self._count("repro_client_overload_giveups_total")
-                    raise
-                self.stats["overloaded_retries"] += 1
-                self._count("repro_client_overload_retries_total")
-                policy.sleep(policy.delay(attempt))
 
-    def _roundtrip_transport(self, message, retry: bool, until: Optional[str]):
+    def _classify(self, error, idempotent: bool):
+        """The ladder's one table: ``(stats key, counter, back off?)``
+        for a failure worth another attempt, ``None`` for one to raise.
+        A redirect drops the connection here (a connection error's
+        attempt already dropped it), so the next attempt redials —
+        the ``NOT_PRIMARY`` leader hint first."""
+        if isinstance(error, ClientConnectionError):
+            # a reply that missed the ``timeout`` deadline is not
+            # retried: the server is up but slow, and a re-run would
+            # multiply both the caller's wait and the server's load
+            if (
+                idempotent and self.reconnect
+                and not isinstance(error.__cause__, socket.timeout)
+            ):
+                return _REDIAL
+            return None
+        if error.code == "OVERLOADED":
+            return _OVERLOADED
+        if not self.reconnect or error.code not in (
+            "NOT_PRIMARY", "SHARD_REDIRECT",
+        ):
+            return None
+        hint = self._hint_address(error.leader_hint)
+        with self._lock:
+            if hint is not None:
+                self._leader = hint
+            self._drop_connection()
+        if error.code == "SHARD_REDIRECT":
+            return ("shard_redirects", "repro_client_shard_redirects_total",
+                    True)
+        # mid-election nobody knows the leader: back off, then
+        # rediscover it through the seeds
+        return ("leader_redirects", "repro_client_leader_redirects_total",
+                hint is None)
+
+    def _attempt(self, message, redial: bool, until: Optional[str]):
+        """One try of one request, and the only one holding the request
+        lock for it: dial when there is no connection (after a dropped
+        one, ``redial`` counts the dial as a reconnect), exchange
+        frames, release. A connection error drops the connection."""
         with self._lock:
             try:
+                if self._sock is None:
+                    if not self.reconnect:
+                        raise ClientConnectionError("client is not connected")
+                    self._connect_locked()
+                    if redial:
+                        self.stats["reconnects"] += 1
+                        self._count("repro_client_reconnects_total")
                 return self._roundtrip_locked(message, until)
             except ClientConnectionError:
                 self._drop_connection()
-                if not retry or not self.reconnect:
-                    raise
-            # The request never produced a reply and is safe to repeat:
-            # redial under the shared policy (backed off, jittered),
-            # then retry the request on the fresh connection.
-            policy = self.retry_policy
-            dial = 0
-            while True:
-                dial += 1
-                self.stats["reconnect_attempts"] += 1
-                try:
-                    self._connect_locked()
-                except ClientConnectionError:
-                    self._drop_connection()
-                    if (
-                        policy.max_attempts is not None
-                        and dial >= policy.max_attempts
-                    ):
-                        raise
-                    policy.sleep(policy.delay(dial))
-                    continue
-                self.stats["reconnects"] += 1
-                self._count("repro_client_reconnects_total")
-                try:
-                    return self._roundtrip_locked(message, until)
-                except ClientConnectionError:
-                    self._drop_connection()
-                    raise
+                raise
 
     def _count(self, name: str) -> None:
         registry = recording_registry()
@@ -865,10 +873,6 @@ class Client:
             ).inc()
 
     def _roundtrip_locked(self, message, until: Optional[str]):
-        if self._sock is None:
-            if not self.reconnect:
-                raise ClientConnectionError("client is not connected")
-            self._connect_locked()
         self._next_id += 1
         message = dict(message)
         message.setdefault("id", self._next_id)
@@ -881,7 +885,9 @@ class Client:
             try:
                 frame = self._frames.read_frame()
             except (OSError, ProtocolError, socket.timeout) as error:
-                raise ClientConnectionError(f"receive failed: {error}")
+                raise ClientConnectionError(
+                    f"receive failed: {error}"
+                ) from error
             if frame is None:
                 raise ClientConnectionError(
                     "server closed the connection mid-request"

@@ -7,9 +7,9 @@ single-writer queue → execution → command-log fsync → replication ship
 → replica apply. The design is a deliberately small subset of W3C Trace
 Context:
 
-* :class:`TraceContext` — an immutable ``(trace_id, span_id, parent_id,
-  sampled)`` tuple serialized to/from the ``traceparent`` header format
-  (``00-<32 hex>-<16 hex>-<01|00>``). The client opens one trace per
+* :class:`TraceContext` — an immutable ``(trace_id, span_id,
+  parent_id)`` tuple serialized to/from the ``traceparent`` header
+  format (``00-<32 hex>-<16 hex>-01``). The client opens one trace per
   statement (or joins the ambient one, on a router's backend hop) and
   stamps its span's context on every ``QUERY``/``PREPARE``/``EXECUTE``
   frame; because the stamp happens *before* the retry loop, a write
@@ -21,7 +21,7 @@ Context:
   :func:`record_span` records a leaf under whatever is ambient (the
   command log's fsync, the queue wait, replication).
 * :class:`SpanCollector` — a bounded, lock-safe ring of finished
-  :class:`Span` objects with head-based sampling and JSON export,
+  :class:`Span` objects with JSON export,
   served by the ``TRACES`` wire message and the per-node HTTP
   endpoint's ``/traces``.
 
@@ -80,51 +80,46 @@ class TraceContext:
     """The propagated identity of one trace position (immutable).
 
     ``span_id`` names the span that owns this context; children record
-    it as their ``parent_id``. ``sampled`` is decided once, at the root
-    (by the client's collector), and rides along so downstream nodes
-    skip span recording for unsampled traces without re-rolling.
+    it as their ``parent_id``. Every trace is recorded: there is no
+    sampling, so a context's wire flags are always ``01``.
     """
 
-    __slots__ = ("trace_id", "span_id", "parent_id", "sampled")
+    __slots__ = ("trace_id", "span_id", "parent_id")
 
     def __init__(
         self,
         trace_id: str,
         span_id: str,
         parent_id: Optional[str] = None,
-        sampled: bool = True,
     ):
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
-        self.sampled = sampled
 
     @classmethod
-    def new(cls, sampled: bool = True) -> "TraceContext":
+    def new(cls) -> "TraceContext":
         """Mint a root context (no parent)."""
-        return cls(new_trace_id(), new_span_id(), None, sampled)
+        return cls(new_trace_id(), new_span_id())
 
     def child(self) -> "TraceContext":
         """A child context: same trace, fresh span, parent = this span
         (what :class:`span` opens)."""
-        return TraceContext(
-            self.trace_id, new_span_id(), self.span_id, self.sampled
-        )
+        return TraceContext(self.trace_id, new_span_id(), self.span_id)
 
     # ------------------------------------------------------------------
     # wire format (traceparent-style)
     # ------------------------------------------------------------------
 
     def to_wire(self) -> str:
-        flags = "01" if self.sampled else "00"
-        return f"{_WIRE_VERSION}-{self.trace_id}-{self.span_id}-{flags}"
+        return f"{_WIRE_VERSION}-{self.trace_id}-{self.span_id}-01"
 
     @classmethod
     def from_wire(cls, text: Any) -> Optional["TraceContext"]:
         """Parse a stamped frame value; ``None`` on anything malformed.
 
         Tolerant by design: an unparseable stamp degrades to an
-        untraced statement, never an error back to the client.
+        untraced statement, never an error back to the client. So does
+        a stamp whose flags say unsampled (``-00``).
         """
         if not isinstance(text, str):
             return None
@@ -132,19 +127,19 @@ class TraceContext:
         if len(parts) != 4 or parts[0] != _WIRE_VERSION:
             return None
         trace_id, span_id, flags = parts[1], parts[2], parts[3]
-        if len(trace_id) != 32 or len(span_id) != 16:
+        if len(trace_id) != 32 or len(span_id) != 16 or flags != "01":
             return None
         try:
             int(trace_id, 16)
             int(span_id, 16)
         except ValueError:
             return None
-        return cls(trace_id, span_id, None, flags == "01")
+        return cls(trace_id, span_id)
 
     def __repr__(self) -> str:
         return (
             f"TraceContext({self.trace_id[:8]}.., span={self.span_id}, "
-            f"parent={self.parent_id}, sampled={self.sampled})"
+            f"parent={self.parent_id})"
         )
 
 
@@ -204,39 +199,19 @@ class Span:
 
 
 class SpanCollector:
-    """A bounded ring of finished spans with head-based sampling.
+    """A bounded ring of finished spans.
 
     Recording appends under one lock (the ring is shared by session
     threads, the writer thread and replication pumps); the ring evicts
     oldest-first so a long-lived node never grows without bound.
-    ``sample()`` is rolled once per root trace by the client — every
-    downstream span inherits the decision through the context's
-    ``sampled`` flag.
     """
 
-    def __init__(self, capacity: int = 4096, sample_rate: float = 1.0):
+    def __init__(self, capacity: int = 4096):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError("sample_rate must be in [0, 1]")
-        self.sample_rate = sample_rate
         self._spans: Deque[Span] = deque(maxlen=capacity)
         self._lock = threading.Lock()
-        self._random = random.Random()
         self.recorded = 0
-        self.dropped_unsampled = 0
-
-    def sample(self) -> bool:
-        """Roll the head-based sampling decision for a new root trace."""
-        if self.sample_rate >= 1.0:
-            return True
-        if self.sample_rate <= 0.0:
-            self.dropped_unsampled += 1
-            return False
-        if self._random.random() < self.sample_rate:
-            return True
-        self.dropped_unsampled += 1
-        return False
 
     def record(self, span: Span) -> None:
         with self._lock:
@@ -283,13 +258,13 @@ def record_span(name: str, duration_ms: float, **attrs: Any) -> Optional[Span]:
     Deep seams (queue wait, fsync, replication ship and apply) record
     this way: a fresh span_id, parented to the span whose context is
     ambient, attributed to this thread's node label. ``None`` attrs are
-    dropped. Returns the recorded span, or ``None`` when tracing is off,
-    no context is ambient, or the trace is unsampled.
+    dropped. Returns the recorded span, or ``None`` when tracing is off
+    or no context is ambient.
     """
     if not _ENABLED:
         return None
     context = current_trace()
-    if context is None or not context.sampled:
+    if context is None:
         return None
     if attrs:
         attrs = {k: v for k, v in attrs.items() if v is not None}
@@ -311,10 +286,10 @@ class span:
     """Time a block into one recorded span — and make it the trace
     context of the block.
 
-    ``__enter__`` mints a child of the ambient sampled context and makes
-    it ambient, so every span and leaf recorded inside parents to this
+    ``__enter__`` mints a child of the ambient context and makes it
+    ambient, so every span and leaf recorded inside parents to this
     one, and a client call made inside stamps it on the wire. With
-    tracing off, or no sampled context ambient, the block runs with
+    tracing off, or no context ambient, the block runs with
     nothing minted or recorded: a span never starts a trace — only
     :meth:`root` does, which the client calls. ``context`` is the minted
     context (``None`` when nothing is recorded); an exception escaping
@@ -330,12 +305,10 @@ class span:
         self._parent: Optional[TraceContext] = None
 
     @classmethod
-    def root(cls, name: str, sampled: bool, **attrs: Any) -> "span":
-        """The first span of a new trace: its context has no parent, and
-        ``sampled`` is the trace's one sampling decision, which every
-        downstream span inherits."""
+    def root(cls, name: str, **attrs: Any) -> "span":
+        """The first span of a new trace: its context has no parent."""
         opened = cls(name, **attrs)
-        opened._parent = TraceContext(new_trace_id(), None, None, sampled)
+        opened._parent = TraceContext(new_trace_id(), None)
         return opened
 
     def __enter__(self) -> "span":
@@ -344,7 +317,7 @@ class span:
             if parent is None:
                 traces = _LOCAL.traces
                 parent = traces[-1] if traces else None
-            if parent is not None and parent.sampled:
+            if parent is not None:
                 context = parent.child()
                 _LOCAL.traces.append(context)
                 self.context = context

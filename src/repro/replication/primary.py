@@ -190,7 +190,7 @@ class Primary:
         # :meth:`_ship_message` directly and carry no trace.
         trace = current_trace()
         message = self._ship_message(record)
-        if trace is not None and trace.sampled:
+        if trace is not None:
             message.data["trace"] = trace.to_wire()
             tracing_module.record_span(
                 "repl.ship",

@@ -475,8 +475,6 @@ class Server:
             stamped = observability_tracing.TraceContext.from_wire(
                 request.get("trace")
             )
-            if stamped is not None and not stamped.sampled:
-                stamped = None
         session.watch(token)
         session.statements += 1
         try:

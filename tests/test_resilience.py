@@ -710,7 +710,7 @@ class TestClientBackoff:
                 raise RemoteError("OVERLOADED", "queue full")
             return [{"type": "PONG"}]
 
-        client._roundtrip_transport = transport
+        client._attempt = transport
         assert client.ping()
         assert client.stats["overloaded_retries"] == 2
         assert client.stats["overloaded_gave_up"] == 0
@@ -721,7 +721,7 @@ class TestClientBackoff:
         def transport(message, retry, until):
             raise RemoteError("OVERLOADED", "queue full")
 
-        client._roundtrip_transport = transport
+        client._attempt = transport
         with pytest.raises(RemoteError) as exc:
             client.ping()
         assert exc.value.code == "OVERLOADED"
@@ -736,7 +736,7 @@ class TestClientBackoff:
             calls["n"] += 1
             raise RemoteError("PARSE_ERROR", "bad sql")
 
-        client._roundtrip_transport = transport
+        client._attempt = transport
         with pytest.raises(RemoteError):
             client.ping()
         assert calls["n"] == 1

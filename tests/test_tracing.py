@@ -10,6 +10,7 @@ pinned in ``tests/test_cluster.py``.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -24,7 +25,7 @@ from repro.observability import events as observability_events
 from repro.observability import tracing as observability_tracing
 from repro.observability.http import ObservabilityHttpServer
 from repro.observability.tracing import Span, SpanCollector, TraceContext
-from repro.server import Server
+from repro.server import Server, protocol
 
 
 @pytest.fixture(autouse=True)
@@ -51,12 +52,11 @@ class TestTraceContext:
         assert parsed is not None
         assert parsed.trace_id == context.trace_id
         assert parsed.span_id == context.span_id
-        assert parsed.sampled is True
+        assert context.to_wire().endswith("-01")
 
-    def test_unsampled_flag_rides_the_wire(self):
-        context = TraceContext.new(sampled=False)
-        assert context.to_wire().endswith("-00")
-        assert TraceContext.from_wire(context.to_wire()).sampled is False
+    def test_unsampled_stamp_is_untraced(self):
+        stamp = TraceContext.new().to_wire()[:-2] + "00"
+        assert TraceContext.from_wire(stamp) is None
 
     def test_child_shares_trace_and_parents_to_the_minter(self):
         root = TraceContext.new()
@@ -64,7 +64,6 @@ class TestTraceContext:
         assert child.trace_id == root.trace_id
         assert child.parent_id == root.span_id
         assert child.span_id != root.span_id
-        assert child.sampled == root.sampled
 
     @pytest.mark.parametrize(
         "junk",
@@ -111,13 +110,6 @@ class TestSpanCollector:
         assert [s.name for s in kept] == ["keep", "keep2"]
         assert [s.name for s in collector.spans(limit=1)] == ["keep2"]
 
-    def test_sampling_rates(self):
-        always = SpanCollector(sample_rate=1.0)
-        never = SpanCollector(sample_rate=0.0)
-        assert all(always.sample() for _ in range(50))
-        assert not any(never.sample() for _ in range(50))
-        assert never.dropped_unsampled == 50
-
     def test_export_is_json_ready(self):
         collector = SpanCollector()
         collector.record(_span(name="hello"))
@@ -163,8 +155,9 @@ class TestAmbientContext:
         assert len(observability_tracing.get_collector()) == 0
 
     def test_record_span_skips_unsampled(self):
-        context = TraceContext.new(sampled=False)
-        with ambient.activate(trace=context):
+        """A ``-00`` stamp is untraced: nothing is ambient under it."""
+        stamp = TraceContext.new().to_wire()[:-2] + "00"
+        with ambient.activate(trace=TraceContext.from_wire(stamp)):
             assert observability_tracing.record_span("x", 1.0) is None
             with observability_tracing.span("y") as unsampled:
                 assert unsampled.context is None
@@ -204,15 +197,13 @@ class TestAmbientContext:
         assert len(observability_tracing.get_collector()) == 0
 
     def test_root_span_starts_a_trace(self):
-        with observability_tracing.span.root("client.execute", True) as root:
+        with observability_tracing.span.root("client.execute") as root:
             assert ambient.current_trace() is root.context
             with observability_tracing.span("inner") as inner:
                 pass
         assert ambient.current_trace() is None
         assert root.context.parent_id is None
         assert inner.context.parent_id == root.context.span_id
-        with observability_tracing.span.root("unsampled", False) as skipped:
-            assert skipped.context is None
         names = [s.name for s in observability_tracing.get_collector().spans()]
         assert names == ["inner", "client.execute"]
 
@@ -351,6 +342,27 @@ class TestEndToEndTrace:
         with Client("127.0.0.1", logged_server.port) as client:
             client.execute("CREATE TABLE t (a INTEGER)")
             client.execute("INSERT INTO t VALUES (1)")
+        assert len(collector) == 0
+
+    def test_unsampled_stamp_records_nothing_on_the_server(
+        self, logged_server
+    ):
+        collector = observability_tracing.get_collector()
+        stamp = TraceContext.new().to_wire()[:-2] + "00"
+        with socket.create_connection(logged_server.address) as sock:
+            protocol.send_frame(sock, {"type": "HELLO", "protocol": 1})
+            assert protocol.read_frame(sock)["type"] == "HELLO_OK"
+            protocol.send_frame(sock, {
+                "type": "QUERY", "id": 1, "trace": stamp,
+                "sql": "CREATE TABLE t (a INTEGER)",
+            })
+            replies = [protocol.read_frame(sock) for _ in range(2)]
+            # the PONG answers after the statement (and its span) ended
+            protocol.send_frame(sock, {"type": "PING", "id": 2})
+            replies.append(protocol.read_frame(sock))
+        assert [r["type"] for r in replies] == [
+            "RESULT_HEAD", "RESULT_END", "PONG",
+        ]
         assert len(collector) == 0
 
     def test_slowlog_entries_carry_trace_and_session(self, logged_server):
