@@ -194,13 +194,19 @@ def _parse_address(spec: AddressSpec) -> Tuple[str, int]:
 class Prepared:
     """A client-side handle to a server-side prepared statement."""
 
-    def __init__(self, client: "Client", sql: str, handle: str,
-                 params: int, columns: List[str]):
+    def __init__(self, client: "Client", sql: str):
         self._client = client
         self.sql = sql
-        self.handle = handle
-        self.parameter_count = params
-        self.columns = columns
+        self.handle = ""
+        self.parameter_count = 0
+        self.columns: List[str] = []
+
+    def _update(self, reply: Dict[str, Any]) -> None:
+        """Take the handle, parameter count and columns of a PREPARED
+        reply."""
+        self.handle = reply["statement"]
+        self.parameter_count = reply.get("params", 0)
+        self.columns = reply.get("columns", [])
 
     def execute(self, *params: Any,
                 budget: Optional[Dict[str, Any]] = None) -> ResultSet:
@@ -298,8 +304,8 @@ class Client:
         self._leader: Optional[Tuple[str, int]] = None
         #: Session budget, replayed after a reconnect.
         self._budget: Optional[Dict[str, Any]] = None
-        #: Live Prepared handles, re-prepared after a reconnect.
-        self._prepared: List[Prepared] = []
+        #: One Prepared handle per SQL text, re-prepared after a reconnect.
+        self._prepared: Dict[str, Prepared] = {}
         #: The replica-read side connection (lazy) and its lag verdict.
         self._replica_lock = threading.Lock()
         self._replica_client: Optional["Client"] = None
@@ -475,11 +481,10 @@ class Client:
             self._roundtrip_locked(
                 {"type": "SET_BUDGET", "budget": self._budget}, until=None
             )
-        for prepared in self._prepared:
-            reply = self._roundtrip_locked(
+        for prepared in list(self._prepared.values()):
+            prepared._update(self._roundtrip_locked(
                 {"type": "PREPARE", "sql": prepared.sql}, until=None
-            )[0]
-            prepared.handle = reply["statement"]
+            )[0])
 
     def close(self) -> None:
         with self._replica_lock:
@@ -543,22 +548,25 @@ class Client:
         ))
 
     def prepare(self, sql: str) -> Prepared:
+        """The handle for ``sql``: one per text. Preparing a known text
+        still asks the server, so a column list changed by DDL shows,
+        and refreshes the existing handle in place."""
         message: Dict[str, Any] = {"type": "PREPARE", "sql": sql}
         reply = self._traced(
             message, True, None,
             "client.prepare", sql=strip_leading_sql_comments(sql)[:80],
         )[0]
-        prepared = Prepared(
-            self, sql, reply["statement"],
-            reply.get("params", 0), reply.get("columns", []),
-        )
-        self._prepared.append(prepared)
+        # one atomic step, so threads preparing one text share a handle
+        prepared = self._prepared.setdefault(sql, Prepared(self, sql))
+        prepared._update(reply)
         return prepared
 
     def _execute_prepared(self, prepared: Prepared, params, budget) -> ResultSet:
+        # the message carries the Prepared itself until it is sent: a
+        # redial on the way re-prepares it under a new handle
         message: Dict[str, Any] = {
             "type": "EXECUTE",
-            "statement": prepared.handle,
+            "statement": prepared,
             "params": protocol.jsonable_row(params),
         }
         if budget is not None:
@@ -876,6 +884,8 @@ class Client:
         self._next_id += 1
         message = dict(message)
         message.setdefault("id", self._next_id)
+        if message["type"] == "EXECUTE":
+            message["statement"] = message["statement"].handle
         try:
             protocol.send_frame(self._sock, message)
         except OSError as error:

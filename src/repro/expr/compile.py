@@ -12,6 +12,19 @@ paper). The compiler detects the (single) range reference inside an
 atomic predicate and lowers the predicate to a loop over the designated
 path elements.
 
+Comparisons against a constant
+------------------------------
+A comparison with a ``Literal`` or a ``Parameter`` on either side
+compiles to one short closure for every caller (relational ``WHERE``,
+join and path residuals, filters pushed into a traversal): read the
+value, answer ``None`` on NULL, apply the :data:`COMPARATORS` test —
+through the :data:`MIRRORED` operator when the constant is on the left —
+and fall back to :func:`compare` on ``TypeError``. A ``Parameter`` is
+read when the closure runs, so a prepared or cached plan answers for its
+current binding. An ``IN`` list of literals tests set membership; a
+miss answers ``None`` when the list holds a NULL, so
+``x NOT IN (7, NULL)`` is never true.
+
 Relational aggregates are **not** handled here — the planner rewrites
 them to placeholder columns before compilation. Path aggregates such as
 ``SUM(PS.Edges.Weight)`` *are* scalar with respect to a row and are
@@ -85,13 +98,20 @@ def _not3(value: Any) -> Any:
     return not value
 
 
-_COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
+#: The Python test behind each SQL comparison operator.
+COMPARATORS: Dict[str, Callable[[Any, Any], bool]] = {
     "=": lambda a, b: a == b,
     "<>": lambda a, b: a != b,
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
     ">": lambda a, b: a > b,
     ">=": lambda a, b: a >= b,
+}
+
+#: The operator that answers the same with its operands swapped:
+#: ``a < b`` is ``b > a``.
+MIRRORED: Dict[str, str] = {
+    "=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
 }
 
 
@@ -133,12 +153,12 @@ def compare(op: str, left: Any, right: Any) -> Any:
     if left is None or right is None:
         return None
     try:
-        return _COMPARATORS[op](left, right)
+        return COMPARATORS[op](left, right)
     except TypeError:
         pass
     left, right = _coerce_comparable(left, right)
     try:
-        return _COMPARATORS[op](left, right)
+        return COMPARATORS[op](left, right)
     except TypeError:
         raise ExecutionError(
             f"cannot compare {type(left).__name__} {op} {type(right).__name__}"
@@ -249,7 +269,7 @@ class ExpressionCompiler:
         if op == "OR":
             left, right = self._compile(node.left), self._compile(node.right)
             return lambda row: _or3(left(row), right(row))
-        if op in _COMPARATORS:
+        if op in COMPARATORS:
             return self._compile_predicate_node(node)
         left, right = self._compile(node.left), self._compile(node.right)
         if op == "+":
@@ -331,12 +351,24 @@ class ExpressionCompiler:
     def _compile_atomic_predicate(self, node: ast.Expression) -> Evaluator:
         if isinstance(node, ast.BinaryOp):
             op = node.op
+            if _is_constant(node.right):
+                return _compare_with_constant(
+                    op, self._compile(node.left), node.right, False
+                )
+            if _is_constant(node.left):
+                return _compare_with_constant(
+                    op, self._compile(node.right), node.left, True
+                )
             left, right = self._compile(node.left), self._compile(node.right)
             return lambda row: compare(op, left(row), right(row))
         if isinstance(node, ast.InList):
             operand = self._compile(node.operand)
-            items = [self._compile(item) for item in node.items]
             negated = node.negated
+            if all(isinstance(item, ast.Literal) for item in node.items):
+                return _in_literals(
+                    operand, [item.value for item in node.items], negated
+                )
+            items = [self._compile(item) for item in node.items]
 
             def in_list(row: Row) -> Any:
                 value = operand(row)
@@ -638,6 +670,79 @@ class ExpressionCompiler:
 def compile_expression(node: ast.Expression, scope: Scope) -> CompiledExpression:
     """Convenience wrapper: compile ``node`` against ``scope``."""
     return ExpressionCompiler(scope).compile(node)
+
+
+# ---------------------------------------------------------------------------
+# comparisons against a constant
+# ---------------------------------------------------------------------------
+
+
+def _is_constant(node: ast.Expression) -> bool:
+    """A ``Parameter``, or a ``Literal`` other than NULL (a NULL literal
+    takes the general path, which still evaluates the other side)."""
+    return isinstance(node, ast.Parameter) or (
+        isinstance(node, ast.Literal) and node.value is not None
+    )
+
+
+def _compare_with_constant(
+    op: str, operand: Evaluator, constant: ast.Expression, constant_first: bool
+) -> Evaluator:
+    """``operand OP constant`` — or ``constant OP operand`` when
+    ``constant_first`` — with :func:`compare`'s answer."""
+    if constant_first:
+        test = COMPARATORS[MIRRORED[op]]
+
+        def fallback(value: Any, bound: Any) -> Any:
+            return compare(op, bound, value)
+
+    else:
+        test = COMPARATORS[op]
+
+        def fallback(value: Any, bound: Any) -> Any:
+            return compare(op, value, bound)
+
+    if isinstance(constant, ast.Literal):
+        bound = constant.value
+
+        def compare_literal(row: Row) -> Any:
+            value = operand(row)
+            if value is None:
+                return None
+            try:
+                return test(value, bound)
+            except TypeError:
+                return fallback(value, bound)
+
+        return compare_literal
+    parameter = constant
+
+    def compare_parameter(row: Row) -> Any:
+        value = operand(row)
+        bound = parameter.value
+        if value is None or bound is None:
+            return None
+        try:
+            return test(value, bound)
+        except TypeError:
+            return fallback(value, bound)
+
+    return compare_parameter
+
+
+def _in_literals(operand: Evaluator, values: List[Any], negated: bool) -> Evaluator:
+    """``operand [NOT] IN (literal, ...)`` by set membership."""
+    members = frozenset(value for value in values if value is not None)
+    hit = not negated
+    miss = None if None in values else negated
+
+    def in_literals(row: Row) -> Any:
+        value = operand(row)
+        if value is None:
+            return None
+        return hit if value in members else miss
+
+    return in_literals
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set,
 
 from ..ambient import current_token
 from ..errors import ExecutionError
+from ..expr.compile import COMPARATORS
 from .graph_view import GraphView
 from .path import Path
 from .topology import Edge, GraphTopology, Vertex
@@ -95,7 +96,7 @@ class SumBound:
     yield time is always exact.
     """
 
-    __slots__ = ("attribute_of", "op", "bound")
+    __slots__ = ("attribute_of", "op", "bound", "holds")
 
     def __init__(
         self,
@@ -103,30 +104,24 @@ class SumBound:
         op: str,
         bound: float,
     ):
-        if op not in ("<", "<=", ">", ">=", "=", "<>"):
+        if op not in COMPARATORS:
             raise ExecutionError(f"unsupported aggregate bound op: {op}")
         self.attribute_of = attribute_of
         self.op = op
         self.bound = bound
+        self.holds = COMPARATORS[op]
 
     def increment(self, edge: Edge) -> float:
         """The edge's contribution to the sum (``NULL`` adds nothing)."""
         value = self.attribute_of(edge)
         return 0.0 if value is None else float(value)
 
-    def violated_finally(self, total: float) -> bool:
-        op, bound = self.op, self.bound
-        if op == "<":
-            return not total < bound
-        if op == "<=":
-            return not total <= bound
-        if op == ">":
-            return not total > bound
-        if op == ">=":
-            return not total >= bound
-        if op == "=":
-            return total != bound
-        return total == bound  # op == '<>'
+    def violated_finally(self, total: float, edges: Iterable[Edge]) -> bool:
+        """True when a path whose edges sum to ``total`` fails the bound.
+        SQL's SUM over no non-NULL value is NULL, which meets no bound."""
+        if not self.holds(total, self.bound):
+            return True
+        return total == 0 and all(self.attribute_of(e) is None for e in edges)
 
     def prunable_now(self, running: float, all_non_negative: bool) -> bool:
         """True when no extension of the path can ever satisfy the bound."""
@@ -201,7 +196,7 @@ class TraversalSpec:
                     for bound in self.sum_bounds
                 )
             for bound, total in zip(self.sum_bounds, sums):
-                if bound.violated_finally(total):
+                if bound.violated_finally(total, path.edges):
                     return False
         if self.path_predicate is not None and not self.path_predicate(path):
             return False

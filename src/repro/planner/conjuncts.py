@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from ..errors import PlanningError
-from ..expr.compile import ExpressionCompiler
+from ..expr.compile import MIRRORED, ExpressionCompiler
 from ..expr.scope import ColumnRef, Scope
 from ..sql import ast
 
@@ -124,9 +124,6 @@ def is_constant(expression: ast.Expression, scope: Scope) -> bool:
         return False
 
 
-_RANGE_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
 def extract_column_comparison(
     conjunct: ast.Expression, alias: str, scope: Optional[Scope] = None
 ) -> Optional[Tuple[str, str, ast.Expression]]:
@@ -136,12 +133,12 @@ def extract_column_comparison(
     Returns ``(column, op, other_side)``."""
     if not isinstance(conjunct, ast.BinaryOp):
         return None
-    if conjunct.op not in _RANGE_FLIP:
+    if conjunct.op not in ("<", "<=", ">", ">="):
         return None
     left_column = _column_of(conjunct.left, alias, scope)
     if left_column is not None:
         return left_column, conjunct.op, conjunct.right
     right_column = _column_of(conjunct.right, alias, scope)
     if right_column is not None:
-        return right_column, _RANGE_FLIP[conjunct.op], conjunct.left
+        return right_column, MIRRORED[conjunct.op], conjunct.left
     return None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from ..expr.compile import MIRRORED
 from ..sql import ast
 
 
@@ -50,22 +51,6 @@ def _is_length_ref(node: ast.Expression, alias: str) -> bool:
     )
 
 
-def _literal_int(node: ast.Expression) -> Optional[int]:
-    if isinstance(node, ast.Literal) and isinstance(node.value, int):
-        return node.value
-    if (
-        isinstance(node, ast.UnaryOp)
-        and node.op == "-"
-        and isinstance(node.operand, ast.Literal)
-        and isinstance(node.operand.value, int)
-    ):
-        return -node.operand.value
-    return None
-
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-
-
 def apply_explicit_length_predicate(
     conjunct: ast.Expression, alias: str, bounds: LengthBounds
 ) -> bool:
@@ -73,9 +58,9 @@ def apply_explicit_length_predicate(
     literal, fold it into ``bounds`` and return True."""
     if isinstance(conjunct, ast.Between) and not conjunct.negated:
         if _is_length_ref(conjunct.operand, alias):
-            low = _literal_int(conjunct.low)
-            high = _literal_int(conjunct.high)
-            if low is not None and high is not None:
+            low = ast.literal_value(conjunct.low)
+            high = ast.literal_value(conjunct.high)
+            if isinstance(low, int) and isinstance(high, int):
                 bounds.require_min(low)
                 bounds.require_max(high)
                 return True
@@ -83,16 +68,16 @@ def apply_explicit_length_predicate(
     if not isinstance(conjunct, ast.BinaryOp):
         return False
     op = conjunct.op
-    if op not in _FLIP:
+    if op not in MIRRORED:
         return False
     if _is_length_ref(conjunct.left, alias):
-        value = _literal_int(conjunct.right)
+        value = ast.literal_value(conjunct.right)
     elif _is_length_ref(conjunct.right, alias):
-        value = _literal_int(conjunct.left)
-        op = _FLIP[op]
+        value = ast.literal_value(conjunct.left)
+        op = MIRRORED[op]
     else:
         return False
-    if value is None:
+    if not isinstance(value, int):
         return False
     if op == "=":
         bounds.require_min(value)

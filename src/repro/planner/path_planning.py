@@ -20,9 +20,9 @@ For one path alias, the planner sorts the conjuncts that mention it into:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from ..expr.compile import ExpressionCompiler, compare
+from ..expr.compile import COMPARATORS, MIRRORED, ExpressionCompiler
 from ..expr.scope import (
     PathBinding,
     PathCollectionRef,
@@ -57,12 +57,9 @@ class PathPredicatePlan:
         self.filters_position_independent = True
 
 
-_ATOMIC_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
-
-
 def _is_atomic_predicate(node: ast.Expression) -> bool:
     if isinstance(node, ast.BinaryOp):
-        return node.op in _ATOMIC_COMPARISONS
+        return node.op in COMPARATORS
     return isinstance(node, (ast.InList, ast.Between, ast.IsNull, ast.Like))
 
 
@@ -152,7 +149,7 @@ def _try_sum_bound(
     if not isinstance(conjunct, ast.BinaryOp):
         return None
     op = conjunct.op
-    if op not in ("<", "<=", ">", ">=", "=", "<>"):
+    if op not in COMPARATORS:
         return None
 
     def match_sum(node: ast.Expression) -> Optional[str]:
@@ -172,175 +169,40 @@ def _try_sum_bound(
             return reference.attribute
         return None
 
-    def literal_number(node: ast.Expression) -> Optional[float]:
-        if isinstance(node, ast.Literal) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if (
-            isinstance(node, ast.UnaryOp)
-            and node.op == "-"
-            and isinstance(node.operand, ast.Literal)
-            and isinstance(node.operand.value, (int, float))
-        ):
-            return -float(node.operand.value)
-        return None
-
-    flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
     attribute = match_sum(conjunct.left)
-    bound = literal_number(conjunct.right)
+    bound = ast.literal_value(conjunct.right)
     if attribute is None:
         attribute = match_sum(conjunct.right)
-        bound = literal_number(conjunct.left)
-        op = flip[op]
-    if attribute is None or bound is None:
+        bound = ast.literal_value(conjunct.left)
+        op = MIRRORED[op]
+    if attribute is None or not isinstance(bound, (int, float)):
         return None
-    return SumBound(view.edge_attribute_reader(attribute), op, bound)
+    return SumBound(view.edge_attribute_reader(attribute), op, float(bound))
 
 
-def _compile_positional_filter(
+def _element_filter(
     conjunct: ast.Expression,
     alias: str,
     view: GraphView,
-    element_node: ast.FieldAccess,
-    reference,
-) -> Tuple[str, PositionalFilter]:
-    """Lower a single-element-reference conjunct into a per-element
-    predicate evaluated during traversal."""
-    if isinstance(reference, PathElementRef):
-        collection = reference.collection
-        start, end = reference.index, reference.index
-        attribute = reference.attribute
-    else:  # PathRangeRef
-        collection = reference.collection
-        start, end = reference.start, reference.end
-        attribute = reference.attribute
-    use_edges = collection == "edges"
-    read = (
-        view.edge_attribute_reader(attribute)
-        if use_edges
-        else view.vertex_attribute_reader(attribute)
-    )
-    fast = _specialize_element_predicate(conjunct, element_node, read)
-    if fast is not None:
-        return collection, PositionalFilter(start, end, fast)
-    cell: List[Any] = [None]
-    overrides = {id(element_node): (lambda row: cell[0])}
-    mini_scope = Scope([PathBinding(alias, 0, view)])
-    compiled = ExpressionCompiler(mini_scope, overrides).compile(conjunct)
-    empty_row = [None]
-    fn = compiled.fn
-
-    def predicate(element) -> bool:
-        cell[0] = read(element)
-        return fn(empty_row) is True
-
-    return collection, PositionalFilter(start, end, predicate)
-
-
-_FAST_COMPARATORS = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
-
-
-def _specialize_element_predicate(
-    conjunct: ast.Expression,
-    element_node: ast.FieldAccess,
-    read: Callable,
-) -> Optional[Callable]:
-    """Fast path for ``element.attr OP literal`` filters.
-
-    These dominate the paper's workloads (selectivity predicates, label
-    filters), so per-edge cost matters: the specialized closure is one
-    attribute read plus one comparison, with SQL NULL semantics (NULL
-    never qualifies).
-    """
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op in _FAST_COMPARATORS:
-        op_name = conjunct.op
-        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-        if conjunct.left is element_node:
-            other = conjunct.right
-        elif conjunct.right is element_node:
-            other = conjunct.left
-            op_name = flipped[conjunct.op]
-        else:
-            return None
-        compare_fn = _FAST_COMPARATORS[op_name]
-        if isinstance(other, ast.Literal):
-            bound = other.value
-            if bound is None:
-                return lambda element: False
-
-            def fast_literal(element) -> bool:
-                value = read(element)
-                if value is None:
-                    return False
-                try:
-                    return compare_fn(value, bound)
-                except TypeError:
-                    # mixed types (e.g. timestamp int vs. date string):
-                    # fall back to the engine's affinity comparison
-                    return compare(op_name, value, bound) is True
-
-            return fast_literal
-        if isinstance(other, ast.Parameter):
-            parameter = other
-
-            def fast_parameter(element) -> bool:
-                bound = parameter.value
-                value = read(element)
-                if value is None or bound is None:
-                    return False
-                try:
-                    return compare_fn(value, bound)
-                except TypeError:
-                    return compare(op_name, value, bound) is True
-
-            return fast_parameter
-    if isinstance(conjunct, ast.InList) and conjunct.operand is element_node:
-        if all(isinstance(item, ast.Literal) for item in conjunct.items):
-            values = {
-                item.value for item in conjunct.items if item.value is not None
-            }
-            negated = conjunct.negated
-
-            def fast_in(element) -> bool:
-                value = read(element)
-                if value is None:
-                    return False
-                return (value not in values) if negated else (value in values)
-
-            return fast_in
-    return None
-
-
-def _compile_start_vertex_filter(
-    conjunct: ast.Expression,
-    alias: str,
-    view: GraphView,
-    endpoint_nodes: List[Tuple[ast.FieldAccess, PathEndpointRef]],
+    readers: List[Tuple[ast.FieldAccess, Callable[[Any], Any]]],
+    start: int,
+    end: Optional[int],
 ) -> PositionalFilter:
-    """Lower a conjunct over ``PS.StartVertex.attr`` references into a
-    position-0 vertex filter."""
-    cell: List[Any] = [None]
-    overrides: Dict[int, Callable] = {}
-    for node, reference in endpoint_nodes:
-        reader = view.vertex_attribute_reader(reference.attribute)
-        overrides[id(node)] = (
-            lambda row, _read=reader: _read(cell[0])
-        )
+    """Lower a conjunct whose path references all read one element — the
+    edge or vertex at positions ``[start..end]``, or the start vertex —
+    into a filter on that element.
+
+    Each reference node is overridden by its attribute reader and the
+    element itself is the compiled expression's row, so the filter is the
+    compiler's closure. An atomic predicate answers True, False or None,
+    and the scans test its truth; anything else must be exactly True.
+    """
+    overrides = {id(node): read for node, read in readers}
     mini_scope = Scope([PathBinding(alias, 0, view)])
-    compiled = ExpressionCompiler(mini_scope, overrides).compile(conjunct)
-    empty_row = [None]
-
-    def predicate(vertex) -> bool:
-        cell[0] = vertex
-        return compiled.fn(empty_row) is True
-
-    return PositionalFilter(0, 0, predicate)
+    fn = ExpressionCompiler(mini_scope, overrides).compile(conjunct).fn
+    if _is_atomic_predicate(conjunct):
+        return PositionalFilter(start, end, fn)
+    return PositionalFilter(start, end, lambda element: fn(element) is True)
 
 
 def classify_path_conjuncts(
@@ -421,13 +283,20 @@ def classify_path_conjuncts(
         ]
         if len(element_refs) == 1 and not endpoint_refs and not other_refs:
             node, reference = element_refs[0]
-            collection, filt = _compile_positional_filter(
-                conjunct, alias, view, node, reference
-            )
-            if collection == "edges":
-                plan.edge_filters.append(filt)
+            if isinstance(reference, PathElementRef):
+                start = end = reference.index
             else:
-                plan.vertex_filters.append(filt)
+                start, end = reference.start, reference.end
+            if reference.collection == "edges":
+                read = view.edge_attribute_reader(reference.attribute)
+                filters = plan.edge_filters
+            else:
+                read = view.vertex_attribute_reader(reference.attribute)
+                filters = plan.vertex_filters
+            filt = _element_filter(
+                conjunct, alias, view, [(node, read)], start, end
+            )
+            filters.append(filt)
             if not (filt.start == 0 and filt.end is None):
                 plan.filters_position_independent = False
             continue
@@ -437,8 +306,12 @@ def classify_path_conjuncts(
             and not other_refs
             and all(ref.which == "start" for _n, ref in endpoint_refs)
         ):
+            readers = [
+                (node, view.vertex_attribute_reader(ref.attribute))
+                for node, ref in endpoint_refs
+            ]
             plan.vertex_filters.append(
-                _compile_start_vertex_filter(conjunct, alias, view, endpoint_refs)
+                _element_filter(conjunct, alias, view, readers, 0, 0)
             )
             continue
         plan.residual_path_conjuncts.append(conjunct)

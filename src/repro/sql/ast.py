@@ -526,6 +526,22 @@ class Truncate(Statement):
         self.table = table
 
 
+def literal_value(node: Expression) -> Any:
+    """The value of a literal, or of a negated numeric literal such as
+    ``-5``; ``None`` for any other node. Callers check the type they
+    accept."""
+    if isinstance(node, Literal):
+        return node.value
+    if (
+        isinstance(node, UnaryOp)
+        and node.op == "-"
+        and isinstance(node.operand, Literal)
+        and isinstance(node.operand.value, (int, float))
+    ):
+        return -node.operand.value
+    return None
+
+
 def walk_expression(expression: Optional[Expression]):
     """Depth-first pre-order generator over an expression tree."""
     if expression is None:

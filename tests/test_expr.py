@@ -2,6 +2,7 @@
 logic, scalar functions, and aggregate accumulators."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ExecutionError, PlanningError
 from repro.expr import (
@@ -9,8 +10,9 @@ from repro.expr import (
     Scope,
     compile_expression,
 )
+from repro.expr.compile import compare
 from repro.expr.functions import aggregate_over, make_accumulator
-from repro.sql import parse_statement
+from repro.sql import ast, parse_statement
 from repro.storage.schema import Column, TableSchema
 from repro.types import SqlType
 
@@ -303,3 +305,78 @@ class TestUnqualifiedGraphAttributes:
         )
         with pytest.raises(PlanningError, match="ambiguous"):
             db.execute("SELECT label FROM g.Vertexes VS, g.Edges ES")
+
+
+# values of every kind a comparison meets: NULL, ints, floats, numeric
+# strings, date strings and other strings
+VALUES = st.one_of(
+    st.none(),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([0.5, 1.0, 2.5, -1.5]),
+    st.sampled_from(["1", "2.5", "-3", "1e1"]),
+    st.sampled_from(["1/1/2000", "12/31/1999", "2000-01-01"]),
+    st.sampled_from(["x", "abc", ""]),
+)
+
+
+def outcome(evaluate_once):
+    """A value, or the type and message of the ExecutionError raised."""
+    try:
+        result = evaluate_once()
+    except ExecutionError as error:
+        return ExecutionError, str(error)
+    return type(result), result
+
+
+def compile_over_t(node):
+    return compile_expression(node, make_scope()).fn
+
+
+class TestConstantOperandDifferential:
+    """A comparison with a constant side compiles to its own closure; it
+    must answer exactly what ``compare()`` answers, or raise the same
+    error, with the constant on either side, as a literal or as a
+    parameter bound after compilation."""
+
+    @given(
+        st.sampled_from(["=", "<>", "<", "<=", ">", ">="]),
+        st.booleans(),
+        st.booleans(),
+        st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=4),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_comparison_matches_compare(self, op, constant_first, as_parameter,
+                                        cases):
+        parameter = ast.Parameter(0)
+        for value, constant in cases:
+            side = parameter if as_parameter else ast.Literal(constant)
+            column = ast.Identifier("a")
+            node = (ast.BinaryOp(op, side, column) if constant_first
+                    else ast.BinaryOp(op, column, side))
+            fn = compile_over_t(node)
+            parameter.value = constant  # bound after compiling
+            expected = outcome(
+                lambda: compare(op, constant, value) if constant_first
+                else compare(op, value, constant))
+            assert outcome(lambda: fn([(value, None, None)])) == expected
+
+    @given(
+        VALUES,
+        st.lists(VALUES, min_size=1, max_size=4),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_in_list_matches_three_valued_reference(self, value, items, negated):
+        def reference():
+            if value is None:
+                return None
+            if any(item is not None and item == value for item in items):
+                return not negated
+            if any(item is None for item in items):
+                return None
+            return negated
+
+        node = ast.InList(ast.Identifier("a"),
+                          [ast.Literal(item) for item in items], negated)
+        fn = compile_over_t(node)
+        assert outcome(lambda: fn([(value, None, None)])) == outcome(reference)

@@ -10,6 +10,7 @@ command-log hook, and disconnect cancellation.
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -609,6 +610,65 @@ class TestClientReconnect:
             prepared = client.prepare("SELECT a FROM T WHERE a = ?")
             client._sock.shutdown(socket.SHUT_RDWR)
             assert prepared.execute(7).rows == [(7,)]
+
+    def test_one_client_handle_per_text(self, server):
+        with Client(*server.address) as client:
+            client.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
+            sql = "SELECT a FROM T WHERE a = ?"
+            handles = {id(client.prepare(sql)) for _ in range(50)}
+            assert len(handles) == 1
+            assert len(client._prepared) == 1
+
+    def test_threads_preparing_one_text_share_one_handle(self, server):
+        with Client(*server.address) as client:
+            client.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
+            sql = "SELECT a FROM T WHERE a = ?"
+            seen = []
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                workers = [
+                    threading.Thread(target=lambda: seen.extend(
+                        id(client.prepare(sql)) for _ in range(10)))
+                    for _ in range(8)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=30)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+            assert len(seen) == 80 and len(set(seen)) == 1
+            assert len(client._prepared) == 1
+
+    def test_preparing_a_known_text_refreshes_its_columns(self, server):
+        with Client(*server.address) as client:
+            client.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
+            prepared = client.prepare("SELECT * FROM T")
+            assert prepared.columns == ["a"]
+            client.execute("DROP TABLE T")
+            client.execute("CREATE TABLE T (a INTEGER PRIMARY KEY, b INTEGER)")
+            assert client.prepare("SELECT * FROM T") is prepared
+            assert prepared.columns == ["a", "b"]
+
+    def test_redial_prepares_each_text_once(self, server, monkeypatch):
+        with Client(*server.address) as client:
+            client.execute("CREATE TABLE T (a INTEGER PRIMARY KEY)")
+            client.execute("INSERT INTO T VALUES (7)")
+            for _ in range(50):
+                prepared = client.prepare("SELECT a FROM T WHERE a = ?")
+            sent = []
+            send_frame = protocol.send_frame
+
+            def recording(sock, message):
+                sent.append(message.get("type"))
+                return send_frame(sock, message)
+
+            monkeypatch.setattr(protocol, "send_frame", recording)
+            client._sock.shutdown(socket.SHUT_RDWR)
+            assert prepared.execute(7).rows == [(7,)]
+            assert sent.count("PREPARE") == 1
 
     def test_session_budget_survives_reconnect(self, server):
         with Client(*server.address) as client:

@@ -372,6 +372,26 @@ class TestRouting:
         scan = client.prepare("SELECT COUNT(*) FROM KV WHERE v <> ?")
         assert scan.execute("a").rows == [(2,)]
 
+    def test_re_preparing_a_text_adds_no_backend_handles(self, sharded3):
+        # each PREPARE at the router is a new router statement whose first
+        # EXECUTE prepares it on the owning shard's backend client again
+        router, shards, client = sharded3
+        client.execute(
+            "CREATE TABLE KV (k INTEGER PRIMARY KEY, v VARCHAR) "
+            "PARTITION BY k"
+        )
+        client.execute("INSERT INTO KV VALUES (1, 'a'), (2, 'b'), (3, 'c')")
+        for _ in range(20):
+            prepared = client.prepare("SELECT v FROM KV WHERE k = ?")
+            assert prepared.execute(2).rows == [("b",)]
+        backends = [
+            backend
+            for session in list(router.sessions.values())
+            for backend in getattr(session, "shard_backends", {}).values()
+        ]
+        # one handle on the owning shard's client, none on the others
+        assert max(len(backend._prepared) for backend in backends) == 1
+
     def test_scalar_subqueries_see_every_shard(self):
         """A scalar subquery reads the whole table, so the statement is
         gathered on the coordinator: scattered, each shard would answer
